@@ -19,7 +19,9 @@ struct Ctx {
   std::set<std::string> allocated;
   std::vector<std::string> loops;  ///< in scope, outermost first
   std::set<std::int64_t> issued;   ///< reply slots some DMA can produce
-  std::vector<std::pair<std::int64_t, std::string>> waited;
+  /// (slot, reply expression) per DmaWait; the expression is formatted
+  /// only if the slot turns out to be an error.
+  std::vector<std::pair<std::int64_t, ir::Expr>> waited;
 
   void error(std::string msg) { errors.push_back(std::move(msg)); }
 };
@@ -151,7 +153,7 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
         c.error("DmaWait reply expression " + ir::to_string(s->wait_reply) +
                 " is not evaluable");
       for (std::int64_t v : slots)
-        c.waited.emplace_back(v, ir::to_string(s->wait_reply));
+        c.waited.emplace_back(v, s->wait_reply);
       return;
     }
     case ir::StmtKind::Gemm: {
@@ -180,15 +182,15 @@ std::vector<std::string> validate_ir(const ir::StmtPtr& root,
   if (root == nullptr) return {"program is null"};
   walk(root, c);
 
-  for (const auto& [slot, text] : c.waited) {
+  for (const auto& [slot, reply] : c.waited) {
     if (slot < 0 || slot >= ir::kMaxReplySlots) {
       std::ostringstream os;
-      os << "DmaWait slot " << slot << " (" << text << ") outside the "
-         << ir::kMaxReplySlots << "-entry reply table";
+      os << "DmaWait slot " << slot << " (" << ir::to_string(reply)
+         << ") outside the " << ir::kMaxReplySlots << "-entry reply table";
       c.error(os.str());
     } else if (c.issued.count(slot) == 0) {
       std::ostringstream os;
-      os << "DmaWait on reply slot " << slot << " (" << text
+      os << "DmaWait on reply slot " << slot << " (" << ir::to_string(reply)
          << ") that no DMA in the program can issue";
       c.error(os.str());
     }

@@ -161,9 +161,11 @@ Expr substitute(const Expr& e, const std::string& name, const Expr& repl) {
     default:
       break;
   }
-  const Expr a = substitute(e->a, name, repl);
-  const Expr b = substitute(e->b, name, repl);
-  const Expr c = substitute(e->c, name, repl);
+  Expr a = substitute(e->a, name, repl);
+  Expr b = substitute(e->b, name, repl);
+  Expr c = substitute(e->c, name, repl);
+  // No operand changed: the node is already what rebuilding it would give.
+  if (a == e->a && b == e->b && c == e->c) return e;
   switch (e->kind) {
     case ExprKind::Add: return add(a, b);
     case ExprKind::Sub: return sub(a, b);

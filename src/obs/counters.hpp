@@ -59,6 +59,25 @@ struct SanitizerCounters {
   }
 };
 
+/// The scheduler sweep's funnel (sched::Scheduler::sweep): strategies
+/// enumerated, lowered to IR, dropped by opt::optimize (SPM budget,
+/// primitive divisibility), and kept -- validated and handed on to be
+/// ranked.
+struct SweepCounts {
+  std::int64_t enumerated = 0;
+  std::int64_t lowered = 0;
+  std::int64_t dropped = 0;
+  std::int64_t kept = 0;
+
+  SweepCounts& operator+=(const SweepCounts& o) {
+    enumerated += o.enumerated;
+    lowered += o.lowered;
+    dropped += o.dropped;
+    kept += o.kept;
+    return *this;
+  }
+};
+
 /// One CPE's share of the run.
 struct CpeCounters {
   std::int64_t dma_bytes = 0;      ///< payload bytes moved to/from this SPM

@@ -188,6 +188,12 @@ std::string Profile::report() const {
              " measured",
              tune.space_size, tune.candidates_ranked,
              tune.candidates_measured));
+    if (tune.sweep.enumerated > 0)
+      line(os, "sweep",
+           fmt("%" PRId64 " strategies, %" PRId64 " lowered, %" PRId64
+               " dropped by optimize, %" PRId64 " ranked",
+               tune.sweep.enumerated, tune.sweep.lowered,
+               tune.sweep.dropped, tune.sweep.kept));
     if (tune.cache_hits + tune.cache_misses > 0)
       line(os, "schedule cache",
            fmt("%" PRId64 " hits, %" PRId64 " misses, %" PRId64 " stores",

@@ -36,6 +36,8 @@ struct TuneCounters {
   std::int64_t space_size = 0;
   std::int64_t candidates_ranked = 0;
   std::int64_t candidates_measured = 0;
+  /// The model tuner's sweep funnel (its `kept` are the ranked candidates).
+  SweepCounts sweep;
   double seconds = 0.0;
   /// Schedule-cache traffic for this Optimizer (a hit skips enumerating
   /// and ranking the space entirely; stores may trail misses when the

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -29,70 +30,90 @@ std::int64_t Scheduler::space_size(const dsl::OperatorDef& op) const {
   return op.space().size();
 }
 
-std::vector<Candidate> Scheduler::candidates(
-    const dsl::OperatorDef& op, const SchedulerOptions& opts) const {
-  const dsl::ScheduleSpace space = op.space();
-  const std::vector<dsl::Strategy> strategies = space.enumerate();
-
+obs::SweepCounts Scheduler::sweep(const dsl::OperatorDef& op,
+                                  const std::vector<dsl::Strategy>& strategies,
+                                  const SchedulerOptions& opts,
+                                  const VisitorFactory& make_visitor) const {
+  const std::size_t n = strategies.size();
   const std::size_t nthreads =
       opts.max_candidates > 0
           ? 1  // the cap bounds lowering work: keep the early-exit loop
-          : resolve_threads(opts.num_threads, strategies.size());
+          : resolve_threads(opts.num_threads, n);
 
-  auto build = [&](const dsl::Strategy& s) -> std::optional<Candidate> {
-    ir::StmtPtr prog = op.lower(s);
-    if (prog == nullptr) return std::nullopt;  // structurally invalid
-    opt::OptOptions o = opts.opt;
-    o.prefetch = opts.opt.prefetch && op.prefetch_enabled(s);
-    if (!opt::optimize(prog, cfg_, o)) return std::nullopt;  // pruned
-    // A candidate that survives pruning must be well-formed: a validation
-    // failure here is a lowering or optimizer bug, not an invalid strategy,
-    // so it throws instead of silently dropping the candidate.
-    check::validate_ir_or_throw(prog, cfg_);
-    return Candidate{s, std::move(prog), o.prefetch};
+  obs::SweepCounts total;
+  total.enumerated = static_cast<std::int64_t>(n);
+  std::mutex mu;  // guards total and the first error
+  std::exception_ptr error;
+  // Indices above a recorded failure are skipped; lower ones still run, so
+  // the rethrown error is the lowest-index one at any thread count.
+  std::atomic<std::size_t> error_index{std::numeric_limits<std::size_t>::max()};
+  std::atomic<std::size_t> next{0};
+  auto fail = [&](std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (i < error_index.load()) {
+      error_index.store(i);
+      error = std::current_exception();
+    }
   };
 
-  std::vector<Candidate> out;
-  if (nthreads <= 1) {
-    for (const dsl::Strategy& s : strategies) {
-      std::optional<Candidate> c = build(s);
-      if (!c) continue;
-      out.push_back(std::move(*c));
-      if (opts.max_candidates > 0 &&
-          static_cast<std::int64_t>(out.size()) >= opts.max_candidates)
-        break;
+  auto work = [&] {
+    CandidateVisitor visit;
+    try {
+      visit = make_visitor();
+    } catch (...) {
+      fail(0);
+      return;
     }
-    return out;
-  }
-
-  // Fan the independent lower+optimize work across a pool (the same
-  // pattern as BlackBoxTuner::tune); slots keep enumeration order so the
-  // result is bit-identical to the serial sweep.
-  std::vector<std::optional<Candidate>> slots(strategies.size());
-  std::atomic<std::size_t> next{0};
-  // build() can throw (the IR validator flags lowering/optimizer bugs);
-  // an exception escaping a worker would terminate the process, so the
-  // first one is captured and rethrown on the calling thread.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(nthreads);
-  for (std::size_t w = 0; w < nthreads; ++w) {
-    workers.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < strategies.size();
-           i = next.fetch_add(1)) {
-        try {
-          slots[i] = build(strategies[i]);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
+    obs::SweepCounts c;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      if (i > error_index.load()) break;
+      try {
+        ir::StmtPtr prog = op.lower(strategies[i]);
+        if (prog == nullptr) continue;  // structurally invalid
+        ++c.lowered;
+        opt::OptOptions o = opts.opt;
+        o.prefetch = opts.opt.prefetch && op.prefetch_enabled(strategies[i]);
+        if (!opt::optimize(prog, cfg_, o)) {  // pruned
+          ++c.dropped;
+          continue;
         }
+        // A candidate that survives pruning must be well-formed: a
+        // validation failure here is a lowering or optimizer bug, not an
+        // invalid strategy, so it throws instead of dropping the candidate.
+        check::validate_ir_or_throw(prog, cfg_);
+        visit(i, prog, o.prefetch);
+        ++c.kept;
+        if (opts.max_candidates > 0 && c.kept >= opts.max_candidates) break;
+      } catch (...) {
+        fail(i);
       }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    total += c;
+  };
 
+  if (nthreads <= 1) {
+    work();
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(nthreads);
+    for (std::size_t w = 0; w < nthreads; ++w) workers.emplace_back(work);
+    for (std::thread& t : workers) t.join();
+  }
+  if (error) std::rethrow_exception(error);
+  return total;
+}
+
+std::vector<Candidate> Scheduler::candidates(
+    const dsl::OperatorDef& op, const SchedulerOptions& opts) const {
+  const std::vector<dsl::Strategy> strategies = op.space().enumerate();
+  std::vector<std::optional<Candidate>> slots(strategies.size());
+  sweep(op, strategies, opts, [&] {
+    return [&](std::size_t i, ir::StmtPtr& prog, bool prefetch) {
+      slots[i] = Candidate{strategies[i], std::move(prog), prefetch};
+    };
+  });
+  std::vector<Candidate> out;
   for (std::optional<Candidate>& c : slots)
     if (c) out.push_back(std::move(*c));
   return out;

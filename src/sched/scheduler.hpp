@@ -5,10 +5,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "dsl/dsl.hpp"
 #include "ir/node.hpp"
+#include "obs/counters.hpp"
 #include "opt/pass_manager.hpp"
 #include "sim/config.hpp"
 
@@ -25,14 +27,25 @@ struct SchedulerOptions {
   /// Cap on returned candidates (0 = unlimited); applied after pruning, by
   /// enumeration order, and reported so benches can note truncation.
   std::int64_t max_candidates = 0;
-  /// Worker threads for the lower+optimize sweep and the tuner's cost-model
-  /// ranking (0 = hardware concurrency, 1 = serial). The candidate list and
-  /// the tuner's pick are identical at any thread count: results keep
-  /// enumeration order and ties break by the first index. A positive
+  /// Worker threads for the sweep (0 = hardware concurrency, 1 = serial).
+  /// Results are identical at any thread count: visitors see enumeration
+  /// indices, and callers reduce over index-aligned slots. A positive
   /// max_candidates forces the serial path, because its purpose is to bound
   /// the lowering work itself.
   int num_threads = 0;
 };
+
+/// Receives one surviving candidate on the worker thread that built it: the
+/// strategy's enumeration index, its optimized and validated program, and
+/// whether double buffering was applied. The sweep releases the program on
+/// that worker when the visitor returns, unless the visitor moved it out.
+using CandidateVisitor =
+    std::function<void(std::size_t index, ir::StmtPtr& program,
+                        bool prefetch)>;
+
+/// Called once per worker, on that worker's thread, so per-worker state (a
+/// CostModel and its memo) lives in the visitor it returns.
+using VisitorFactory = std::function<CandidateVisitor()>;
 
 class Scheduler {
  public:
@@ -41,7 +54,18 @@ class Scheduler {
   /// Raw size of the operator's schedule space (before pruning).
   std::int64_t space_size(const dsl::OperatorDef& op) const;
 
-  /// All valid optimized candidates.
+  /// The one sweep: every strategy is lowered, optimized and validated on a
+  /// worker, and each survivor is handed to that worker's visitor. An
+  /// exception on a worker (the IR validator flags lowering or optimizer
+  /// bugs) is rethrown on the calling thread; the lowest failing index
+  /// wins, so the error is the one a serial sweep would raise.
+  obs::SweepCounts sweep(const dsl::OperatorDef& op,
+                         const std::vector<dsl::Strategy>& strategies,
+                         const SchedulerOptions& opts,
+                         const VisitorFactory& make_visitor) const;
+
+  /// All valid optimized candidates, in enumeration order: the sweep with a
+  /// visitor that keeps every program.
   std::vector<Candidate> candidates(
       const dsl::OperatorDef& op,
       const SchedulerOptions& opts = SchedulerOptions{}) const;

@@ -6,11 +6,17 @@
 
 namespace swatop::sim {
 
-Spm::Spm(const SimConfig& cfg) : data_(cfg.spm_floats(), 0.0f) {
+Spm::Spm(const SimConfig& cfg) : capacity_(cfg.spm_floats()) {
   // Everything starts poisoned: SPM contents are uninitialized until a DMA,
   // zero-fill or store defines them, so even reads outside any allocated
   // buffer (a corrupted offset) are caught.
-  if (cfg.sanitize.poison_on()) poison_.assign(data_.size(), 1);
+  if (cfg.sanitize.poison_on())
+    poison_.assign(static_cast<std::size_t>(capacity_), 1);
+}
+
+std::vector<float>& Spm::data() const {
+  if (data_.empty()) data_.assign(static_cast<std::size_t>(capacity_), 0.0f);
+  return data_;
 }
 
 void Spm::poison(std::int64_t a, std::int64_t n) {
@@ -34,33 +40,32 @@ std::int64_t Spm::first_poisoned(std::int64_t a, std::int64_t n) const {
 }
 
 void Spm::check_range(std::int64_t a, std::int64_t n) const {
-  SWATOP_CHECK(a >= 0 && n >= 0 &&
-               a + n <= static_cast<std::int64_t>(data_.size()))
+  SWATOP_CHECK(a >= 0 && n >= 0 && a + n <= capacity_)
       << "SPM access [" << a << ", " << a + n << ") exceeds capacity "
-      << data_.size() << " floats";
+      << capacity_ << " floats";
 }
 
 float Spm::read(std::int64_t a) const {
   check_range(a, 1);
   ++reads_;
-  return data_[static_cast<std::size_t>(a)];
+  return data()[static_cast<std::size_t>(a)];
 }
 
 void Spm::write(std::int64_t a, float v) {
   check_range(a, 1);
   ++writes_;
   if (!poison_.empty()) poison_[static_cast<std::size_t>(a)] = 0;
-  data_[static_cast<std::size_t>(a)] = v;
+  data()[static_cast<std::size_t>(a)] = v;
 }
 
 std::span<float> Spm::view(std::int64_t a, std::int64_t n) {
   check_range(a, n);
-  return {data_.data() + a, static_cast<std::size_t>(n)};
+  return {data().data() + a, static_cast<std::size_t>(n)};
 }
 
 std::span<const float> Spm::view(std::int64_t a, std::int64_t n) const {
   check_range(a, n);
-  return {data_.data() + a, static_cast<std::size_t>(n)};
+  return {data().data() + a, static_cast<std::size_t>(n)};
 }
 
 void Spm::fill(std::int64_t a, std::int64_t n, float v) {
@@ -71,6 +76,7 @@ void Spm::fill(std::int64_t a, std::int64_t n, float v) {
 }
 
 void Spm::clear() {
+  // Unallocated contents already read as zero.
   std::fill(data_.begin(), data_.end(), 0.0f);
   // A cleared SPM models a fresh core: contents are again uninitialized.
   if (!poison_.empty()) std::fill(poison_.begin(), poison_.end(), 1);

@@ -16,9 +16,7 @@ class Spm {
  public:
   explicit Spm(const SimConfig& cfg);
 
-  std::int64_t capacity() const {
-    return static_cast<std::int64_t>(data_.size());
-  }
+  std::int64_t capacity() const { return capacity_; }
 
   float read(std::int64_t a) const;
   void write(std::int64_t a, float v);
@@ -65,7 +63,11 @@ class Spm {
 
  private:
   void check_range(std::int64_t a, std::int64_t n) const;
-  std::vector<float> data_;
+  /// The contents, zero-filled on first access: timing-only runs never
+  /// touch SPM data, so they never allocate it.
+  std::vector<float>& data() const;
+  std::int64_t capacity_;
+  mutable std::vector<float> data_;
   /// Per-float poison bits (1 = undefined); empty when tracking is off.
   std::vector<std::uint8_t> poison_;
   mutable std::int64_t reads_ = 0;

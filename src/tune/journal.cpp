@@ -191,6 +191,17 @@ std::string journal_summary(const Journal& j) {
                   static_cast<long long>(n));
     os << buf;
   }
+  const obs::SweepCounts& sw = j.sweep();
+  if (sw.enumerated > 0) {
+    std::snprintf(buf, sizeof buf,
+                  "  sweep: %lld strategies, %lld lowered, %lld dropped by "
+                  "optimize, %lld ranked\n",
+                  static_cast<long long>(sw.enumerated),
+                  static_cast<long long>(sw.lowered),
+                  static_cast<long long>(sw.dropped),
+                  static_cast<long long>(sw.kept));
+    os << buf;
+  }
   if (err.samples > 0) {
     std::snprintf(buf, sizeof buf,
                   "  model error: mean %.2f%%  max %.2f%%  rank corr %.3f  "
@@ -226,7 +237,11 @@ std::string journal_summary_json(const Journal& j) {
     first = false;
     os << '"' << json_escape(phase) << "\": " << n;
   }
-  os << "}, \"model_error\": {\"samples\": " << err.samples
+  const obs::SweepCounts& sw = j.sweep();
+  os << "}, \"sweep\": {\"enumerated\": " << sw.enumerated
+     << ", \"lowered\": " << sw.lowered << ", \"dropped\": " << sw.dropped
+     << ", \"kept\": " << sw.kept
+     << "}, \"model_error\": {\"samples\": " << err.samples
      << ", \"mean_rel_err\": " << err.mean_rel_err
      << ", \"max_rel_err\": " << err.max_rel_err
      << ", \"rank_corr\": " << err.rank_corr << "}, \"regret\": [";

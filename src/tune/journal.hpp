@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/counters.hpp"
+
 namespace swatop::tune {
 
 /// One candidate's row. Negative predicted/measured mean "never evaluated
@@ -39,7 +41,15 @@ class Journal {
   const std::vector<JournalEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    sweep_ = {};
+  }
+
+  /// The model tuner's sweep funnel, summed over the operators it tuned
+  /// into this journal (the rows themselves are only the ranked ones).
+  void add_sweep(const obs::SweepCounts& c) { sweep_ += c; }
+  const obs::SweepCounts& sweep() const { return sweep_; }
 
   /// One JSON object per line (JSONL). Unevaluated predicted/measured
   /// serialize as null.
@@ -52,6 +62,7 @@ class Journal {
 
  private:
   std::vector<JournalEntry> entries_;
+  obs::SweepCounts sweep_;
 };
 
 std::string journal_entry_json(const JournalEntry& e);
@@ -73,8 +84,8 @@ ModelErrorStats model_error_stats(const std::vector<JournalEntry>& entries);
 /// best (0 = the search has found its winner).
 std::vector<double> regret_curve(const std::vector<JournalEntry>& entries);
 
-/// Human-readable summary: entry counts by phase, model-error statistics,
-/// and the regret curve's convergence point.
+/// Human-readable summary: entry counts by phase, the sweep funnel,
+/// model-error statistics, and the regret curve's convergence point.
 std::string journal_summary(const Journal& j);
 
 /// The same summary as one JSON object (not the per-entry log).

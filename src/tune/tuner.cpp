@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <thread>
 
@@ -23,45 +24,57 @@ double now_seconds() {
       .count();
 }
 
-std::size_t resolve_threads(int requested, std::size_t work) {
-  if (work < 2) return 1;
-  std::size_t n = requested > 0
-                      ? static_cast<std::size_t>(requested)
-                      : static_cast<std::size_t>(
-                            std::thread::hardware_concurrency());
-  if (n == 0) n = 1;
-  return n < work ? n : work;
+/// The surviving strategies of one sweep and their cost-model estimates.
+struct Ranked {
+  std::vector<dsl::Strategy> strategies;  ///< survivors, enumeration order
+  std::vector<double> est;                ///< index-aligned estimates
+  obs::SweepCounts counts;
+};
+
+/// The model tuner's streamed sweep. Each worker owns a CostModel (its
+/// DMA-cost memo is not shareable) and frees every program it built as soon
+/// as the estimate is taken, so only about one program per worker is alive
+/// at a time.
+Ranked rank_sweep(const dsl::OperatorDef& op,
+                  const sched::SchedulerOptions& opts,
+                  const sim::SimConfig& cfg) {
+  std::vector<dsl::Strategy> all = op.space().enumerate();
+  struct Row {
+    bool kept = false;
+    double est = 0.0;
+  };
+  std::vector<Row> rows(all.size());
+  const GemmCostModel& gm = gemm_cost_model(cfg);
+  Ranked r;
+  r.counts = sched::Scheduler(cfg).sweep(op, all, opts, [&] {
+    return [&rows, model = std::make_shared<const CostModel>(cfg, gm)](
+               std::size_t i, ir::StmtPtr& prog, bool) {
+      rows[i] = {true, model->estimate(prog).total()};
+    };
+  });
+  SWATOP_CHECK(r.counts.kept > 0)
+      << "no valid schedule candidate for " << op.name();
+  r.strategies.reserve(static_cast<std::size_t>(r.counts.kept));
+  r.est.reserve(static_cast<std::size_t>(r.counts.kept));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!rows[i].kept) continue;
+    r.strategies.push_back(std::move(all[i]));
+    r.est.push_back(rows[i].est);
+  }
+  return r;
 }
 
-/// Rank every candidate through the static cost model, fanning out across
-/// a worker pool (each worker owns a CostModel: its DMA-cost memo is not
-/// shareable). The returned estimates are index-aligned with `cands`, so
-/// any reduction over them is deterministic regardless of thread count.
-std::vector<double> rank_candidates(
-    const std::vector<sched::Candidate>& cands, const sim::SimConfig& cfg,
-    const GemmCostModel& gm, int num_threads) {
-  std::vector<double> est(cands.size());
-  const std::size_t nthreads = resolve_threads(num_threads, cands.size());
-  if (nthreads <= 1) {
-    const CostModel model(cfg, gm);
-    for (std::size_t i = 0; i < cands.size(); ++i)
-      est[i] = model.estimate(cands[i].program).total();
-    return est;
+/// Index of the first minimum: ties break towards the lower index.
+std::size_t first_min(const std::vector<double>& v) {
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t best_i = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i] < best) {
+      best = v[i];
+      best_i = i;
+    }
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(nthreads);
-  for (std::size_t w = 0; w < nthreads; ++w) {
-    workers.emplace_back([&] {
-      const CostModel model(cfg, gm);
-      for (std::size_t i = next.fetch_add(1); i < cands.size();
-           i = next.fetch_add(1)) {
-        est[i] = model.estimate(cands[i].program).total();
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  return est;
+  return best_i;
 }
 
 /// Rank positions (0 = best) implied by an index-aligned score vector;
@@ -82,16 +95,16 @@ std::vector<std::int64_t> ranks_by_score(const std::vector<double>& score) {
 /// `predicted`/`measured` may be empty; missing values journal as -1.
 void journal_candidates(Journal* journal, const dsl::OperatorDef& op,
                         const char* phase,
-                        const std::vector<sched::Candidate>& cands,
+                        const std::vector<dsl::Strategy>& strategies,
                         const std::vector<double>& predicted,
                         const std::vector<double>& measured,
                         const std::vector<std::int64_t>& rank,
                         std::size_t chosen_i) {
-  for (std::size_t i = 0; i < cands.size(); ++i) {
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
     JournalEntry e;
     e.op = op.name();
     e.phase = phase;
-    e.strategy = cands[i].strategy.to_string();
+    e.strategy = strategies[i].to_string();
     e.index = static_cast<std::int64_t>(i);
     e.rank = rank[i];
     e.predicted = i < predicted.size() ? predicted[i] : -1.0;
@@ -163,42 +176,33 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
                        obs::Recorder* rec, Journal* journal) const {
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const sched::Scheduler sched(cfg_);
-  const GemmCostModel& gm = gemm_cost_model(cfg_);
-  std::vector<sched::Candidate> cands = sched.candidates(op, opts);
-  SWATOP_CHECK(!cands.empty())
-      << "no valid schedule candidate for " << op.name();
-  const double w_enum = rec ? rec->wall_us() : 0.0;
-  if (rec)
-    tune_phase_span(rec, "enumerate+lower", w0, w_enum,
-                    static_cast<std::int64_t>(cands.size()));
-  const std::vector<double> est =
-      rank_candidates(cands, cfg_, gm, opts.num_threads);
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_i = 0;
-  for (std::size_t i = 0; i < est.size(); ++i) {
-    if (est[i] < best) {
-      best = est[i];
-      best_i = i;
-    }
-  }
-  if (journal)
-    journal_candidates(journal, op, "model", cands, est, {},
-                       ranks_by_score(est), best_i);
+  const Ranked r = rank_sweep(op, opts, cfg_);
+  const double w_sweep = rec ? rec->wall_us() : 0.0;
+  const std::size_t best_i = first_min(r.est);
+  // The workers freed every program; rebuild the winner here, the way a
+  // schedule-cache hit does.
   Tuned out;
-  out.candidate = std::move(cands[best_i]);
-  out.cycles = best;
-  out.stats.space_size = sched.space_size(op);
-  out.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
+  out.candidate = build_candidate(op, r.strategies[best_i], cfg_, opts.opt);
+  const double w_rebuild = rec ? rec->wall_us() : 0.0;
+  if (journal) {
+    journal_candidates(journal, op, "model", r.strategies, r.est, {},
+                       ranks_by_score(r.est), best_i);
+    journal->add_sweep(r.counts);
+  }
+  out.cycles = r.est[best_i];
+  out.stats.space_size = op.space().size();
+  out.stats.valid_candidates = r.counts.kept;
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
-    tune_phase_span(rec, "rank (cost model)", w_enum, rec->wall_us(),
-                    static_cast<std::int64_t>(cands.size()));
+    tune_phase_span(rec, "sweep (lower+optimize+rank)", w0, w_sweep,
+                    r.counts.kept);
+    tune_phase_span(rec, "rebuild winner", w_sweep, w_rebuild, 1);
     rec->tune().space_size += out.stats.space_size;
     rec->tune().candidates_ranked += out.stats.valid_candidates;
+    rec->tune().sweep += r.counts;
     rec->tune().seconds += out.stats.seconds;
     rec->record_tune_sample(
-        {out.candidate.strategy.to_string(), best, -1.0});
+        {out.candidate.strategy.to_string(), out.cycles, -1.0});
   }
   return out;
 }
@@ -209,77 +213,70 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   SWATOP_CHECK(k >= 1) << "tune_top_k with k=" << k;
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const sched::Scheduler sched(cfg_);
-  const GemmCostModel& gm = gemm_cost_model(cfg_);
-  std::vector<sched::Candidate> cands = sched.candidates(op, opts);
-  SWATOP_CHECK(!cands.empty())
-      << "no valid schedule candidate for " << op.name();
-  const double w_enum = rec ? rec->wall_us() : 0.0;
-  if (rec)
-    tune_phase_span(rec, "enumerate+lower", w0, w_enum,
-                    static_cast<std::int64_t>(cands.size()));
+  const Ranked r = rank_sweep(op, opts, cfg_);
+  const std::size_t n = r.est.size();
 
-  // Rank by predicted cycles; keep the k best indices. The estimate vector
-  // is index-aligned, so the shortlist is stable across thread counts
-  // (ties break towards the lower index).
-  const std::vector<double> est =
-      rank_candidates(cands, cfg_, gm, opts.num_threads);
+  // Keep the k best by (estimate, index): the estimates are index-aligned,
+  // so the shortlist is stable across thread counts.
   std::vector<std::pair<double, std::size_t>> ranked;
-  ranked.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    ranked.emplace_back(est[i], i);
+  ranked.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) ranked.emplace_back(r.est[i], i);
   const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), ranked.size());
+      std::min<std::size_t>(static_cast<std::size_t>(k), n);
   std::partial_sort(ranked.begin(),
                     ranked.begin() + static_cast<std::ptrdiff_t>(keep),
                     ranked.end());
-  const double w_rank = rec ? rec->wall_us() : 0.0;
+  const double w_sweep = rec ? rec->wall_us() : 0.0;
   if (rec)
-    tune_phase_span(rec, "rank (cost model)", w_enum, w_rank,
-                    static_cast<std::int64_t>(cands.size()));
+    tune_phase_span(rec, "sweep (lower+optimize+rank)", w0, w_sweep,
+                    r.counts.kept);
 
-  // Measure the shortlist and keep the measured winner. With a replay
-  // executor attached, repeat measurements of a structurally identical
-  // candidate replay the recorded event schedule (bit-identical cycles)
-  // instead of re-interpreting.
+  // Rebuild and measure the shortlist, keeping the measured winner. With a
+  // replay executor attached, repeat measurements of a structurally
+  // identical candidate replay the recorded event schedule (bit-identical
+  // cycles) instead of re-interpreting.
   sim::CoreGroup cg(cfg_);
   cg.mem().set_materialize(false);
   const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
   rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  std::vector<double> measured(cands.size(), -1.0);
+  std::vector<double> measured(n, -1.0);
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
-  for (std::size_t r = 0; r < keep; ++r) {
-    const std::size_t i = ranked[r].second;
+  Tuned out;
+  for (std::size_t q = 0; q < keep; ++q) {
+    const std::size_t i = ranked[q].second;
     const double wm0 = rec ? rec->wall_us() : 0.0;
+    sched::Candidate cand =
+        build_candidate(op, r.strategies[i], cfg_, opts.opt);
     const double t = replay_ != nullptr
-                         ? replay_->measure(op, cands[i], cfg_)
-                         : interp.run(cands[i].program, bt).cycles;
-    if (pruner_ != nullptr) pruner_->observe(cands[i].strategy, t);
+                         ? replay_->measure(op, cand, cfg_)
+                         : interp.run(cand.program, bt).cycles;
+    if (pruner_ != nullptr) pruner_->observe(cand.strategy, t);
     measured[i] = t;
     if (rec) {
       tune_phase_span(rec, "measure candidate", wm0, rec->wall_us());
-      rec->record_tune_sample(
-          {cands[i].strategy.to_string(), ranked[r].first, t});
+      rec->record_tune_sample({cand.strategy.to_string(), ranked[q].first, t});
     }
-    if (t < best) {
+    if (q == 0 || t < best) {
       best = t;
       best_i = i;
+      out.candidate = std::move(cand);
     }
   }
-  if (journal)
-    journal_candidates(journal, op, "top-k", cands, est, measured,
-                       ranks_by_score(est), best_i);
-  Tuned out;
-  out.candidate = std::move(cands[best_i]);
+  if (journal) {
+    journal_candidates(journal, op, "top-k", r.strategies, r.est, measured,
+                       ranks_by_score(r.est), best_i);
+    journal->add_sweep(r.counts);
+  }
   out.cycles = best;
-  out.stats.space_size = sched.space_size(op);
-  out.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
+  out.stats.space_size = op.space().size();
+  out.stats.valid_candidates = r.counts.kept;
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += out.stats.space_size;
     rec->tune().candidates_ranked += out.stats.valid_candidates;
     rec->tune().candidates_measured += static_cast<std::int64_t>(keep);
+    rec->tune().sweep += r.counts;
     rec->tune().seconds += out.stats.seconds;
   }
   return out;
@@ -376,7 +373,9 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
       rank_score[i] = res.all_measured[i] >= 0.0
                           ? res.all_measured[i]
                           : std::numeric_limits<double>::infinity();
-    journal_candidates(journal, op, "blackbox", cands,
+    std::vector<dsl::Strategy> strategies;
+    for (const sched::Candidate& c : cands) strategies.push_back(c.strategy);
+    journal_candidates(journal, op, "blackbox", strategies,
                        pd.active ? pd.predicted : std::vector<double>{},
                        res.all_measured, ranks_by_score(rank_score), best_i);
   }

@@ -66,19 +66,25 @@ class ModelTuner {
  public:
   explicit ModelTuner(const sim::SimConfig& cfg);
 
+  /// Streams the scheduler's sweep: each worker lowers, optimizes,
+  /// validates and estimates a candidate, then frees its program. The
+  /// calling thread picks the first minimum by (estimate, index) and
+  /// rebuilds only that winner with build_candidate, as a cache hit does.
+  ///
   /// When `rec` is given, the tuning phases are traced (wall-clock track)
-  /// and per-candidate model-vs-measured samples recorded. When `journal`
-  /// is given, every candidate is appended (phase "model"; only the pick is
-  /// ever measured). Journal entries are appended from the calling thread
-  /// in candidate-index order, so the log is identical at any thread count.
+  /// and the sweep's funnel counted. When `journal` is given, every
+  /// candidate is appended (phase "model"; only the pick is ever measured).
+  /// Journal entries are appended from the calling thread in
+  /// candidate-index order, so the log is identical at any thread count.
   Tuned tune(const dsl::OperatorDef& op,
              const sched::SchedulerOptions& opts = {},
              obs::Recorder* rec = nullptr, Journal* journal = nullptr) const;
 
   /// The paper's "pick best (or top k)" refinement: rank candidates with
-  /// the static model, then *measure* the k best through the timing
-  /// interpreter and keep the measured winner. k times the measurement cost
-  /// buys back most of the model's residual error (Fig. 9's tail).
+  /// the static model (the same streamed sweep), then rebuild and *measure*
+  /// the k best through the timing interpreter and keep the measured
+  /// winner. k times the measurement cost buys back most of the model's
+  /// residual error (Fig. 9's tail).
   Tuned tune_top_k(const dsl::OperatorDef& op, int k,
                    const sched::SchedulerOptions& opts = {},
                    obs::Recorder* rec = nullptr,

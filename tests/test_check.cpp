@@ -91,6 +91,25 @@ TEST(ValidateIr, WaitSlotOutsideReplyTable) {
       << joined(errors);
 }
 
+TEST(ValidateIr, WaitErrorMessagesAreExact) {
+  // The reply expression of a wait is formatted only when its slot is
+  // reported; the messages themselves are pinned byte for byte.
+  auto body = ir::make_seq();
+  ir::seq_push(body, ir::make_dma_wait(ir::add(
+                         ir::cst(3), ir::mod(ir::var("v"), ir::cst(2)))));
+  ir::seq_push(body, ir::make_dma_wait(ir::cst(ir::kMaxReplySlots)));
+  auto prog = ir::make_seq();
+  ir::seq_push(prog, ir::make_for("v", ir::cst(4), body));
+  const std::vector<std::string> expected = {
+      "DmaWait on reply slot 3 ((3 + (v%2))) that no DMA in the program "
+      "can issue",
+      "DmaWait on reply slot 4 ((3 + (v%2))) that no DMA in the program "
+      "can issue",
+      "DmaWait slot 256 (256) outside the 256-entry reply table",
+  };
+  EXPECT_EQ(check::validate_ir(prog, base_cfg), expected);
+}
+
 TEST(ValidateIr, GemmWithoutBindings) {
   auto prog = ir::make_seq();
   ir::GemmAttrs g;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "ir/analysis.hpp"
 #include "ops/matmul.hpp"
@@ -94,6 +98,81 @@ TEST(Scheduler, UnalignedShapeKeepsLegalSwitch) {
   }
   EXPECT_TRUE(has_switch);
   EXPECT_TRUE(has_pad);
+}
+
+// --- The sweep. ---
+
+SchedulerOptions threads(int n) {
+  SchedulerOptions o;
+  o.num_threads = n;
+  return o;
+}
+
+TEST(Sweep, CountsTheFunnel) {
+  ops::MatmulOp op(72, 56, 40);
+  const Scheduler sched(cfg);
+  const std::vector<dsl::Strategy> all = op.space().enumerate();
+  for (int n : {1, 4}) {
+    const obs::SweepCounts c = sched.sweep(op, all, threads(n), [] {
+      return [](std::size_t, ir::StmtPtr&, bool) {};
+    });
+    EXPECT_EQ(c.enumerated, static_cast<std::int64_t>(all.size()));
+    EXPECT_GT(c.lowered, 0);
+    EXPECT_LE(c.lowered, c.enumerated);
+    EXPECT_EQ(c.lowered - c.dropped, c.kept);
+    EXPECT_EQ(c.kept,
+              static_cast<std::int64_t>(sched.candidates(op).size()));
+  }
+}
+
+TEST(Sweep, ReleasesProgramsTheVisitorDoesNotTake) {
+  // A visitor that does not take the program leaves it to the sweep, which
+  // releases it before the worker moves on: nothing outlives the sweep.
+  ops::MatmulOp op(72, 56, 40);
+  const std::vector<dsl::Strategy> all = op.space().enumerate();
+  std::vector<std::weak_ptr<ir::Stmt>> seen(all.size());
+  const obs::SweepCounts c = Scheduler(cfg).sweep(op, all, threads(4), [&] {
+    return [&](std::size_t i, ir::StmtPtr& prog, bool) { seen[i] = prog; };
+  });
+  EXPECT_GT(c.kept, 0);
+  for (const auto& w : seen) EXPECT_TRUE(w.expired());
+}
+
+/// A matmul whose lowered programs wait on a reply slot no DMA issues: the
+/// IR validator rejects every survivor, naming a slot that depends on the
+/// strategy, so the first failing candidate is identifiable.
+class BrokenWaitOp : public ops::MatmulOp {
+ public:
+  BrokenWaitOp() : ops::MatmulOp(72, 56, 40) {}
+  ir::StmtPtr lower(const dsl::Strategy& s) const override {
+    ir::StmtPtr prog = ops::MatmulOp::lower(s);
+    if (prog == nullptr) return prog;
+    const std::int64_t slot = 100 + s.factor("Tm") / 8 + s.factor("Tk") / 8;
+    ir::seq_push(prog, ir::make_dma_wait(ir::cst(slot)));
+    return prog;
+  }
+};
+
+TEST(Sweep, WorkerValidationErrorIsRethrownOnCaller) {
+  BrokenWaitOp op;
+  const Scheduler sched(cfg);
+  std::string serial;
+  try {
+    sched.candidates(op, threads(1));
+  } catch (const CheckError& e) {
+    serial = e.what();
+  }
+  ASSERT_NE(serial.find("IR validation failed"), std::string::npos)
+      << serial;
+  for (int n : {2, 4}) {
+    try {
+      sched.candidates(op, threads(n));
+      ADD_FAILURE() << "no exception at " << n << " threads";
+    } catch (const CheckError& e) {
+      // The lowest failing index wins, as in the serial sweep.
+      EXPECT_EQ(e.what(), serial) << n << " threads";
+    }
+  }
 }
 
 }  // namespace

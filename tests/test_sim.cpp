@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/check.hpp"
 #include "sim/core_group.hpp"
 
@@ -50,6 +52,22 @@ TEST(Spm, CapacityAndBounds) {
   spm.write(spm.capacity() - 1, 3.0f);
   EXPECT_FLOAT_EQ(spm.read(spm.capacity() - 1), 3.0f);
   EXPECT_THROW(spm.read(spm.capacity()), CheckError);
+}
+
+TEST(Spm, ContentsStartZeroWhenFirstTouched) {
+  // The contents are allocated on first access; every access path sees a
+  // zeroed SPM, including clear() before any write.
+  SimConfig cfg;
+  Spm a(cfg);
+  EXPECT_FLOAT_EQ(a.read(17), 0.0f);
+  Spm b(cfg);
+  for (float v : std::as_const(b).view(0, 8)) EXPECT_FLOAT_EQ(v, 0.0f);
+  Spm c(cfg);
+  c.clear();
+  c.fill(4, 2, 1.5f);
+  EXPECT_FLOAT_EQ(c.read(3), 0.0f);
+  EXPECT_FLOAT_EQ(c.read(5), 1.5f);
+  EXPECT_THROW(Spm(cfg).view(cfg.spm_floats() - 1, 2), CheckError);
 }
 
 TEST(Dma, ContiguousCostMatchesBandwidth) {
