@@ -18,54 +18,6 @@ rt::RunResult OptimizedOperator::run(sim::CoreGroup& cg,
   return interp.run(candidate.program, bt);
 }
 
-void OptimizedOperator::ensure_bound() {
-  SWATOP_CHECK(op_ != nullptr)
-      << "OptimizedOperator::execute on a default-constructed handle; use "
-         "Optimizer::optimize";
-  if (cg_) return;
-  cg_ = std::make_unique<sim::CoreGroup>(machine_);
-  if (recorder_) cg_->attach_observer(recorder_.get());
-  bt_ = rt::bind_tensors(*cg_, *op_);
-  op_->fill_inputs(*cg_, bt_, candidate.strategy);
-}
-
-rt::RunResult OptimizedOperator::execute(sim::ExecMode mode) {
-  ensure_bound();
-  if (executed_ && cg_->mem().materialize()) {
-    // Restore the launch-time state (outputs zeroed, as alloc left them;
-    // inputs are never written by a program and keep their fill). Today's
-    // generated programs zero their SPM accumulator on the first reduction
-    // pass and overwrite the output tile on DmaPut, so they happen to be
-    // idempotent on preserved memory -- but that is a property of the DMA
-    // inference pass, not of execute()'s contract; zeroing here keeps
-    // re-runs correct for any accumulating schedule.
-    for (const dsl::TensorSpec& t : op_->tensors())
-      if (t.is_output) cg_->mem().fill(bt_.at(t.name), t.floats, 0.0f);
-  }
-  executed_ = true;
-  return run(*cg_, bt_, mode);
-}
-
-double OptimizedOperator::check_output() {
-  ensure_bound();
-  return op_->check_output(*cg_, bt_, candidate.strategy);
-}
-
-sim::CoreGroup& OptimizedOperator::core_group() {
-  ensure_bound();
-  return *cg_;
-}
-
-const dsl::BoundTensors& OptimizedOperator::tensors() {
-  ensure_bound();
-  return bt_;
-}
-
-std::int64_t OptimizedOperator::flops() const {
-  SWATOP_CHECK(op_ != nullptr) << "flops() on a default-constructed handle";
-  return op_->flops();
-}
-
 Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
   if (cfg_.cache.enabled)
     cache_ = std::make_shared<tune::ScheduleCache>(cfg_.cache);
@@ -75,18 +27,13 @@ Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
     pruner_ = std::make_shared<tune::RankingPruner>(cfg_.pruner);
 }
 
-OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
+OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
+                                      obs::Recorder* rec) const {
   OptimizedOperator out;
-  out.op_ = &op;
-  out.machine_ = cfg_.machine;
-  if (cfg_.observability.enabled)
-    out.recorder_ = std::make_shared<obs::Recorder>(cfg_.observability);
-
   tune::ModelTuner tuner(cfg_.machine);
   if (replay_) tuner.set_replay(replay_.get());
   if (pruner_) tuner.set_pruner(pruner_.get());
   const sched::SchedulerOptions sopts = cfg_.scheduler_options();
-  obs::Recorder* rec = out.recorder_.get();
 
   // One candidate measurement, through the shared trace-replay executor
   // when enabled (bit-identical cycles either way); every measurement also
@@ -98,11 +45,17 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
     if (pruner_) pruner_->observe(c.strategy, cycles);
     return cycles;
   };
-  // Surface the executor's fast-path traffic for this optimize() call into
-  // the recorder's tuning counters (called at every return).
   const tune::ReplayStats replay0 =
       replay_ ? replay_->stats() : tune::ReplayStats{};
-  auto flush_replay = [&] {
+  // Both the cache-hit and the fresh-tuning path end here: generate the
+  // kernel's C source and surface the executor's fast-path traffic for
+  // this call into the recorder's tuning counters.
+  auto finish = [&] {
+    codegen::EmitOptions eopts;
+    eopts.kernel_name = "swatop_" + op.name();
+    for (char& c : eopts.kernel_name)
+      if (!isalnum(static_cast<unsigned char>(c))) c = '_';
+    out.c_source = codegen::emit_c(out.candidate.program, eopts);
     if (!replay_ || rec == nullptr) return;
     const tune::ReplayStats r = replay_->stats();
     rec->tune().replay_hits += r.hits - replay0.hits;
@@ -155,12 +108,7 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
           e.chosen = true;
           cfg_.journal->append(std::move(e));
         }
-        codegen::EmitOptions eopts;
-        eopts.kernel_name = "swatop_" + op.name();
-        for (char& c : eopts.kernel_name)
-          if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-        out.c_source = codegen::emit_c(out.candidate.program, eopts);
-        flush_replay();
+        finish();
         return out;
       } catch (const CheckError&) {
         // A stale/corrupt entry that no longer lowers cleanly: fall
@@ -216,21 +164,8 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
     }
   }
 
-  codegen::EmitOptions eopts;
-  eopts.kernel_name = "swatop_" + op.name();
-  for (char& c : eopts.kernel_name)
-    if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-  out.c_source = codegen::emit_c(out.candidate.program, eopts);
-  flush_replay();
+  finish();
   return out;
-}
-
-RunOutcome optimize_and_run(const SwatopConfig& cfg,
-                            const dsl::OperatorDef& op, sim::ExecMode mode) {
-  RunOutcome o;
-  o.optimized = Optimizer(cfg).optimize(op);
-  o.result = o.optimized.execute(mode);
-  return o;
 }
 
 }  // namespace swatop

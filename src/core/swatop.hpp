@@ -1,30 +1,17 @@
-// swATOP low-level optimizer API: describe an operator (ops/ provides
-// matmul and the three convolution designs, or implement dsl::OperatorDef
-// for your own), call Optimizer::optimize, and get back a tuned schedule,
-// the generated C source for SW26010, and a handle that owns everything
-// needed to run it.
+// swATOP's optimizer layer: Optimizer::optimize tunes one operator with
+// the performance-model-based autotuner (plus top-k measurement when
+// configured) and generates its C source for SW26010.
 //
-// NOTE: this header is the implementation layer underneath
-// swatop::compile() (graph/compile.hpp), which is the preferred front door
-// for new code -- it owns the tuning journal, runs the graph-level fusion
-// and SPM-residency passes, and keeps reports glued to the runs that
-// produced them. Optimizer / OptimizedOperator::execute /
-// optimize_and_run remain supported for callers that need the low-level
-// surface (caller-owned core groups, manual tensor binding, per-candidate
-// control), and compile() is implemented on top of them.
+// This is an internal layer under swatop::compile() (graph/compile.hpp),
+// which is how tuned code runs: CompiledOp owns the core group, tensor
+// binding, input fill and observability recorder of a single operator,
+// and the graph engine (graph/engine.hpp) runs tuned layers through
+// OptimizedOperator::run on its own core groups.
 //
 //   swatop::SwatopConfig cfg;
 //   swatop::ops::MatmulOp op(512, 512, 512);
-//   auto compiled = swatop::compile(op, cfg);     // preferred
-//   // or, step by step on this layer:
-//   swatop::Optimizer opt(cfg);
-//   auto tuned = opt.optimize(op);
-//   auto result = tuned.execute(sim::ExecMode::Functional);
-//
-// The one-call paths own the core group, tensor binding and input fill
-// internally; the pre-existing low-level entry points (bind_tensors +
-// OptimizedOperator::run on a caller-owned core group) keep working for
-// callers that manage memory themselves.
+//   auto compiled = swatop::compile(op, cfg);
+//   auto result = compiled.run();
 #pragma once
 
 #include <memory>
@@ -124,18 +111,10 @@ struct SwatopConfig {
   }
 };
 
-/// A tuned, code-generated operator. Owns (lazily) the simulated core group
-/// and tensor binding needed to run it, so `execute()` is one call; the
-/// operator definition passed to Optimizer::optimize must outlive it.
-/// Move-only (it owns a core group).
-class OptimizedOperator {
- public:
-  OptimizedOperator() = default;
-  OptimizedOperator(OptimizedOperator&&) = default;
-  OptimizedOperator& operator=(OptimizedOperator&&) = default;
-  OptimizedOperator(const OptimizedOperator&) = delete;
-  OptimizedOperator& operator=(const OptimizedOperator&) = delete;
-
+/// A tuned, code-generated operator: the winning candidate, the tuning
+/// statistics and the generated C source. It holds no simulator state;
+/// run() executes the schedule on a caller-owned core group and binding.
+struct OptimizedOperator {
   sched::Candidate candidate;
   tune::TunerStats stats;
   double predicted_cycles = 0.0;  ///< cost-model estimate of the winner
@@ -143,47 +122,12 @@ class OptimizedOperator {
   bool from_cache = false;  ///< served from the schedule cache (no search)
   std::string c_source;
 
-  /// Execute the tuned schedule on the internally owned core group,
-  /// creating it, binding the operator's tensors and filling its inputs on
-  /// first use. Repeated calls reuse the core group; output tensors are
-  /// re-zeroed before each re-run so an accumulating schedule (C += A*B)
-  /// starts from the same state every time -- inputs are read-only to the
-  /// generated programs and keep their first-use fill. When the optimizer
-  /// was configured with observability enabled, the result's `profile`
-  /// carries the counters and trace of this run plus the accumulated
-  /// tuning history.
-  rt::RunResult execute(sim::ExecMode mode = sim::ExecMode::Functional);
-
-  /// Max |computed - reference| over the outputs of the last execute().
-  double check_output();
-
-  /// The internally owned core group / binding (created on demand); for
-  /// callers that want to inspect or reuse the memory execute() ran on.
-  sim::CoreGroup& core_group();
-  const dsl::BoundTensors& tensors();
-
-  /// The operator's useful flops under the tuned strategy; convenience for
-  /// RunResult::gflops.
-  std::int64_t flops() const;
-
-  /// Low-level entry point: run on a caller-owned core group and binding.
-  /// `resident` (optional) pins operand tensors on-chip for the run -- the
-  /// graph engine's inter-layer SPM residency (see rt::ResidentSet).
+  /// Run on a caller-owned core group and binding. `resident` (optional)
+  /// pins operand tensors on-chip for the run -- the graph engine's
+  /// inter-layer SPM residency (see rt::ResidentSet).
   rt::RunResult run(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                     sim::ExecMode mode,
                     const rt::ResidentSet* resident = nullptr) const;
-
- private:
-  friend class Optimizer;
-
-  void ensure_bound();
-
-  const dsl::OperatorDef* op_ = nullptr;
-  sim::SimConfig machine_{};
-  std::shared_ptr<obs::Recorder> recorder_;  ///< null when obs is off
-  std::unique_ptr<sim::CoreGroup> cg_;
-  dsl::BoundTensors bt_;
-  bool executed_ = false;  ///< outputs must be re-zeroed before a re-run
 };
 
 class Optimizer {
@@ -194,13 +138,15 @@ class Optimizer {
   const SwatopConfig& config() const { return cfg_; }
 
   /// Tune the operator with the performance-model-based autotuner (plus
-  /// top-k measurement when configured) and generate its code. The
-  /// returned handle keeps a pointer to `op`. With the schedule cache
-  /// enabled, a previously tuned (operator, machine, knobs) is served from
-  /// the cache: the banked winning strategy is re-lowered directly (the
-  /// schedule space is never enumerated) and the handle is marked
-  /// `from_cache`; fresh results are banked after tuning.
-  OptimizedOperator optimize(const dsl::OperatorDef& op) const;
+  /// top-k measurement when configured) and generate its code. With the
+  /// schedule cache enabled, a previously tuned (operator, machine, knobs)
+  /// is served from the cache: the banked winning strategy is re-lowered
+  /// directly (the schedule space is never enumerated) and the result is
+  /// marked `from_cache`; fresh results are banked after tuning. `rec`
+  /// (optional, caller-owned) receives the tuning counters, samples and
+  /// phase spans.
+  OptimizedOperator optimize(const dsl::OperatorDef& op,
+                             obs::Recorder* rec = nullptr) const;
 
   /// The schedule cache, when enabled (for inspection / explicit save()).
   tune::ScheduleCache* schedule_cache() const { return cache_.get(); }
@@ -222,18 +168,5 @@ class Optimizer {
   std::shared_ptr<tune::ReplayExecutor> replay_;  ///< null when disabled
   std::shared_ptr<tune::RankingPruner> pruner_;   ///< null when disabled
 };
-
-/// The whole pipeline in one call: tune, generate code, execute.
-/// Prefer swatop::compile(op, cfg) (graph/compile.hpp) in new code: the
-/// compiled handle additionally owns the tuning journal and keeps
-/// check()/report() attached to the run. This shim remains for existing
-/// callers and costs nothing extra.
-struct RunOutcome {
-  OptimizedOperator optimized;
-  rt::RunResult result;
-};
-RunOutcome optimize_and_run(const SwatopConfig& cfg,
-                            const dsl::OperatorDef& op,
-                            sim::ExecMode mode = sim::ExecMode::Functional);
 
 }  // namespace swatop

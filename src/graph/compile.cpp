@@ -10,25 +10,40 @@ namespace swatop {
 // ---------------------------------------------------------------- CompiledOp
 
 CompiledOp::CompiledOp(const dsl::OperatorDef& op, SwatopConfig cfg)
-    : op_(&op) {
-  if (!cfg.journal) {
+    : op_(&op), cfg_(std::move(cfg)) {
+  if (!cfg_.journal) {
     owned_journal_ = std::make_unique<tune::Journal>();
-    cfg.journal = owned_journal_.get();
+    cfg_.journal = owned_journal_.get();
   }
-  journal_ = cfg.journal;
-  optimizer_ = std::make_unique<Optimizer>(std::move(cfg));
-  opt_ = optimizer_->optimize(op);
+  if (cfg_.observability.enabled)
+    recorder_ = std::make_unique<obs::Recorder>(cfg_.observability);
+  opt_ = Optimizer(cfg_).optimize(op, recorder_.get());
 }
 
 rt::RunResult CompiledOp::run(sim::ExecMode mode) {
-  last_ = opt_.execute(mode);
-  ran_ = true;
+  if (!cg_) {
+    cg_ = std::make_unique<sim::CoreGroup>(cfg_.machine);
+    if (recorder_) cg_->attach_observer(recorder_.get());
+    bt_ = rt::bind_tensors(*cg_, *op_);
+    op_->fill_inputs(*cg_, bt_, opt_.candidate.strategy);
+  } else if (cg_->mem().materialize()) {
+    // Restore the launch-time state (outputs zeroed, as alloc left them;
+    // inputs are never written by a program and keep their fill). Today's
+    // generated programs zero their SPM accumulator on the first reduction
+    // pass and overwrite the output tile on DmaPut, so they happen to be
+    // idempotent on preserved memory -- but that is a property of the DMA
+    // inference pass, not of run()'s contract; zeroing here keeps re-runs
+    // correct for any accumulating schedule.
+    for (const dsl::TensorSpec& t : op_->tensors())
+      if (t.is_output) cg_->mem().fill(bt_.at(t.name), t.floats, 0.0f);
+  }
+  last_ = opt_.run(*cg_, bt_, mode);
   return last_;
 }
 
 double CompiledOp::check() {
-  SWATOP_CHECK(ran_) << "CompiledOp::check() before the first run()";
-  return opt_.check_output();
+  SWATOP_CHECK(cg_ != nullptr) << "CompiledOp::check() before the first run()";
+  return op_->check_output(*cg_, bt_, opt_.candidate.strategy);
 }
 
 std::string CompiledOp::report() const {
@@ -45,14 +60,14 @@ std::string CompiledOp::report() const {
                   opt_.measured_cycles);
     s += buf;
   }
-  if (ran_) {
+  if (cg_) {
     std::snprintf(buf, sizeof(buf),
                   "last run:  %.0f cycles, %.1f GFLOPS\n", last_.cycles,
-                  last_.gflops(opt_.flops(), config().machine));
+                  last_.gflops(op_->flops(), cfg_.machine));
     s += buf;
   }
   std::snprintf(buf, sizeof(buf), "journal:   %zu candidate rows\n",
-                journal_->size());
+                cfg_.journal->size());
   s += buf;
   return s;
 }

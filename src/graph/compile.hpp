@@ -17,11 +17,11 @@
 // get fused candidates and elided DMA traffic without touching the
 // tuner, IR validator or fuzzer.
 //
-// The pre-existing entry points (swatop::Optimizer +
-// OptimizedOperator::execute, graph::GraphEngine) remain as the
-// implementation layer underneath and keep working, but new code should
-// come through compile(): it is the only surface that owns the tuning
-// journal for you and keeps the report glued to the run that produced it.
+// compile() is the only way to run tuned code. swatop::Optimizer
+// (core/swatop.hpp) and graph::GraphEngine (graph/engine.hpp) are the
+// internal layers underneath it: the optimizer tunes and generates code,
+// the engine plans and runs a graph, and the handles here own the tuning
+// journal, the core group the code runs on, and the report of the run.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +37,19 @@ namespace swatop {
 
 /// A compiled single operator: tuned schedule + generated code + the
 /// simulated core group to run it on. Obtained from compile(op, cfg); the
-/// operator definition must outlive the handle (same contract as
-/// Optimizer::optimize). Move-only.
+/// operator definition must outlive the handle. Move-only.
 class CompiledOp {
  public:
   CompiledOp(CompiledOp&&) = default;
   CompiledOp& operator=(CompiledOp&&) = default;
 
-  /// Execute the tuned schedule (repeat runs reuse the bound core group).
+  /// Execute the tuned schedule. The first run creates the core group,
+  /// binds the operator's tensors and fills its inputs; repeat runs reuse
+  /// them, re-zeroing the outputs first so an accumulating schedule
+  /// (C += A*B) starts from the same state every time -- inputs are
+  /// read-only to the generated programs and keep their first fill. With
+  /// observability enabled, the result's `profile` carries the counters
+  /// and trace of this run plus the tuning history.
   rt::RunResult run(sim::ExecMode mode = sim::ExecMode::Functional);
 
   /// Max |computed - reference| over the outputs of the last run().
@@ -57,26 +62,25 @@ class CompiledOp {
 
   /// Every candidate the tuner considered compiling this operator (plus
   /// any the caller's own SwatopConfig::journal had recorded before).
-  const tune::Journal& journal() const { return *journal_; }
+  const tune::Journal& journal() const { return *cfg_.journal; }
 
-  /// The underlying tuned handle, for callers that need the low-level
-  /// surface (generated C source, caller-owned core groups, ...).
-  OptimizedOperator& handle() { return opt_; }
+  /// The tuning result: strategy, cycles, statistics, generated C source.
   const OptimizedOperator& handle() const { return opt_; }
 
-  const SwatopConfig& config() const { return optimizer_->config(); }
+  const SwatopConfig& config() const { return cfg_; }
 
  private:
   friend CompiledOp compile(const dsl::OperatorDef& op, SwatopConfig cfg);
   CompiledOp(const dsl::OperatorDef& op, SwatopConfig cfg);
 
   const dsl::OperatorDef* op_ = nullptr;
+  SwatopConfig cfg_;  ///< cfg_.journal is owned_journal_ or the caller's
   std::unique_ptr<tune::Journal> owned_journal_;  ///< null if caller's
-  tune::Journal* journal_ = nullptr;
-  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<obs::Recorder> recorder_;  ///< null when obs is off
   OptimizedOperator opt_;
+  std::unique_ptr<sim::CoreGroup> cg_;  ///< created by the first run()
+  dsl::BoundTensors bt_;
   rt::RunResult last_{};
-  bool ran_ = false;
 };
 
 /// A compiled network: the graph, the engine that tunes/plans/executes it,

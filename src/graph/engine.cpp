@@ -179,6 +179,11 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   // through the schedule cache. The Optimizer persists across run() calls,
   // so shapes this engine tuned for *any* earlier graph or batch are cache
   // hits here. ---
+  // The net profile's recorder exists before tuning, so it carries the
+  // tuning funnel and phase spans of every layer this run tunes.
+  std::unique_ptr<obs::Recorder> rec;
+  if (cfg_.observability.enabled)
+    rec = std::make_unique<obs::Recorder>(cfg_.observability);
   Optimizer& optimizer = *optimizer_;
   std::unordered_map<std::string, TunedConv> tuned;
   const auto tune_t0 = std::chrono::steady_clock::now();
@@ -207,7 +212,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
           break;
         case ConvMethod::Auto: SWATOP_UNREACHABLE("unresolved method");
       }
-      tc.handle = optimizer.optimize(*tc.op);
+      tc.handle = optimizer.optimize(*tc.op, rec.get());
       if (tc.handle.from_cache) ++res.cache_hits;
       ++res.shapes_tuned;
       tuned.emplace(key, std::move(tc));
@@ -322,10 +327,6 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       }
     }
   }
-
-  std::unique_ptr<obs::Recorder> rec;
-  if (cfg_.observability.enabled)
-    rec = std::make_unique<obs::Recorder>(cfg_.observability);
 
   // --- Execute the schedule: tensors flow through the arena, the chip
   // timeline advances by the slowest group per step plus the NoC barrier
@@ -608,12 +609,9 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     c.dma.transfers = res.chip_stats.dma_transfers;
     c.arena_planned_bytes = res.planned_peak_floats * 4;
     c.arena_naive_bytes = res.naive_floats * 4;
+    // The optimizer counted cache and replay traffic into `rec` while
+    // tuning; the tuning time is the whole phase's wall clock.
     rec->tune().seconds = res.tune_seconds;
-    rec->tune().cache_hits = res.cache_hits;
-    rec->tune().cache_misses = res.shapes_tuned - res.cache_hits;
-    rec->tune().replay_hits = res.replay_hits;
-    rec->tune().replay_misses = res.replay_misses;
-    rec->tune().replay_fallbacks = res.replay_fallbacks;
     res.profile = obs::Profile::snapshot(*rec);
   }
   return res;

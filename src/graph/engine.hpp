@@ -14,12 +14,11 @@
 // the per-step maximum over groups plus those barriers, which is what an
 // honest data-parallel deployment pays.
 //
-// NOTE: GraphEngine is the implementation layer underneath
-// swatop::compile(graph, cfg) (graph/compile.hpp), which is the preferred
-// front door for new code -- the CompiledNet handle owns the tuning
-// journal and glues report()/report_json() to the run that produced them.
-// Constructing a GraphEngine directly remains supported for callers that
-// re-run many graphs through one engine instance.
+// GraphEngine is an internal layer under swatop::compile(graph, cfg)
+// (graph/compile.hpp), which is how a graph is run: the CompiledNet handle
+// owns the tuning journal and glues report()/report_json() to the run
+// that produced them. The serving cost provider holds an engine directly
+// so that one schedule cache warms every net it prices.
 #pragma once
 
 #include <cstdint>

@@ -4,17 +4,21 @@
 // dedup / cache reuse, Winograd).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "common/check.hpp"
 #include "graph/build.hpp"
+#include "graph/compile.hpp"
 #include "graph/engine.hpp"
 #include "graph/fuse.hpp"
 #include "graph/graph.hpp"
 #include "graph/memory_plan.hpp"
 #include "graph/reference.hpp"
+#include "ops/implicit_conv.hpp"
 #include "ops/reference.hpp"
+#include "sim/chip.hpp"
 
 namespace swatop::graph {
 namespace {
@@ -634,6 +638,72 @@ TEST(Engine, TimingOnlyMatchesFunctionalCycles) {
   EXPECT_FALSE(t.checked);
   EXPECT_DOUBLE_EQ(t.cycles, f.cycles);
   EXPECT_EQ(t.flops, f.flops);
+}
+
+TEST(Engine, SingleConvMatchesPerGroupTuning) {
+  // The reference arithmetic of batch-splitting one convolution over core
+  // groups: each group runs the conv tuned for its own sub-batch, the
+  // slowest group bounds the step, and a NoC barrier closes it when more
+  // than one group ran.
+  Graph g("one_conv");
+  g.add_input("x", {10, 32});
+  Node conv = node(NodeKind::Conv, "conv", {"x"}, "y");
+  conv.kernel = 3;
+  conv.channels_out = 32;
+  g.add(conv);
+  const std::int64_t batch = 5;
+  for (int groups = 1; groups <= 4; ++groups) {
+    NetOptions opts;
+    opts.groups = groups;
+    opts.mode = sim::ExecMode::TimingOnly;
+    opts.check = false;
+    const NetRunResult r = compile(g, fast_cfg()).run(batch, opts);
+    double slowest = 0.0;
+    for (int gi = 0; gi < groups; ++gi) {
+      ops::ConvShape sub = g.conv_shape(g.nodes()[0], batch);
+      sub.batch = batch / groups + (gi < batch % groups ? 1 : 0);
+      const ops::ImplicitConvOp op(sub);
+      slowest = std::max(
+          slowest,
+          compile(op, fast_cfg()).run(sim::ExecMode::TimingOnly).cycles);
+    }
+    const double sync =
+        groups > 1 ? sim::Chip(fast_cfg().machine, groups).sync_cycles()
+                   : 0.0;
+    EXPECT_EQ(r.cycles, slowest + sync) << groups << " groups";
+  }
+}
+
+TEST(Engine, NetProfileCarriesTheTuningFunnel) {
+  SwatopConfig cfg = fast_cfg();
+  cfg.observability.enabled = true;
+  CompiledNet net = compile(make_tiny(2), cfg);
+  const NetRunResult r = net.run(2, NetOptions{});
+  ASSERT_TRUE(r.profile.enabled);
+  const obs::SweepCounts& sweep = r.profile.tune.sweep;
+  const obs::SweepCounts& journaled = net.journal().sweep();
+  EXPECT_GT(journaled.enumerated, 0);
+  EXPECT_EQ(sweep.enumerated, journaled.enumerated);
+  EXPECT_EQ(sweep.lowered, journaled.lowered);
+  EXPECT_EQ(sweep.dropped, journaled.dropped);
+  EXPECT_EQ(sweep.kept, journaled.kept);
+  // Counted once per tuned shape, not once by the optimizer and again by
+  // the engine.
+  EXPECT_EQ(r.profile.tune.cache_hits, r.cache_hits);
+  EXPECT_EQ(r.profile.tune.cache_misses, r.shapes_tuned - r.cache_hits);
+
+  // Observing the tuning changes neither the cycles nor the journal.
+  CompiledNet plain = compile(make_tiny(2), fast_cfg());
+  const NetRunResult p = plain.run(2, NetOptions{});
+  EXPECT_EQ(r.cycles, p.cycles);
+  EXPECT_EQ(net.journal().to_jsonl(), plain.journal().to_jsonl());
+
+  // A warm re-run profiles only its own (all cache-hit) tuning.
+  const NetRunResult warm = net.run(2, NetOptions{});
+  EXPECT_EQ(warm.cache_hits, warm.shapes_tuned);
+  EXPECT_EQ(warm.profile.tune.cache_hits, warm.cache_hits);
+  EXPECT_EQ(warm.profile.tune.cache_misses, 0);
+  EXPECT_EQ(warm.profile.tune.sweep.enumerated, 0);
 }
 
 TEST(Engine, WinogradRunsFunctionally) {

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "core/swatop.hpp"
+#include "graph/compile.hpp"
 #include "ir/analysis.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
@@ -16,12 +17,12 @@ namespace {
 
 constexpr double kTol = 2e-3;  // fp32 accumulation over O(10^2..10^3) terms
 
-/// Tune, run functionally, and compare against the reference -- through the
-/// one-call API (the tuned handle owns core group, binding and input fill).
+/// Tune, run functionally, and compare against the reference -- through
+/// compile() (the compiled handle owns core group, binding and input fill).
 double optimize_and_check(const dsl::OperatorDef& op) {
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  return tuned.check_output();
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  return compiled.check();
 }
 
 TEST(Integration, MatmulAlignedSmall) {
@@ -119,16 +120,16 @@ TEST(Integration, RepeatedExecuteDoesNotAccumulate) {
   // Regression: the handle reuses its core group between runs with memory
   // contents preserved, and the generated schedules *accumulate* into
   // their outputs (C += A*B). A re-run must not double the result --
-  // execute() re-zeroes output tensors before each re-run rather than
-  // relying on every schedule's first-pass SPM zero guard.
+  // run() re-zeroes output tensors before each re-run rather than relying
+  // on every schedule's first-pass SPM zero guard.
   ops::MatmulOp op(64, 64, 32);
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
 }
 
 TEST(Integration, RepeatedExecuteConvDoesNotAccumulate) {
@@ -139,18 +140,18 @@ TEST(Integration, RepeatedExecuteConvDoesNotAccumulate) {
   s.ri = 6;
   s.ci = 6;
   ops::ImplicitConvOp op(s);
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
 }
 
 TEST(Integration, OuterReductionReRunDoesNotAccumulate) {
   // The riskiest re-run shape: order kmn with Tk < K places the reduction
   // loop outside the C tile's scope, so the program re-fetches C from main
   // memory and accumulates partial sums into it. Even through the
-  // low-level path (no execute()-level re-zero), a re-run must be
+  // low-level path (no run()-level re-zero), a re-run must be
   // idempotent: the first pass zeroes the SPM accumulator and the final
   // DmaPut overwrites the tile.
   ops::MatmulOp op(64, 64, 64);
@@ -211,26 +212,33 @@ TEST(Integration, ConvBackwardFilterTuned) {
   EXPECT_LE(optimize_and_check(op), 5e-3);
 }
 
-}  // namespace
-}  // namespace swatop
-
-#include "core/chip_parallel.hpp"
-
-namespace swatop {
-namespace {
+/// One 3x3 `channels` -> `channels` convolution on an hw x hw input, compiled
+/// as a graph and run timing-only at `batch`, batch-split over `groups`
+/// core groups.
+graph::NetRunResult run_conv_on_groups(std::int64_t hw, std::int64_t channels,
+                                       std::int64_t batch, int groups) {
+  graph::Graph g("conv");
+  g.add_input("x", {hw, channels});
+  graph::Node conv;
+  conv.kind = graph::NodeKind::Conv;
+  conv.name = "conv";
+  conv.inputs = {"x"};
+  conv.output = "y";
+  conv.kernel = 3;
+  conv.channels_out = channels;
+  g.add(conv);
+  graph::NetOptions opts;
+  opts.groups = groups;
+  opts.mode = sim::ExecMode::TimingOnly;
+  opts.check = false;
+  return compile(g).run(batch, opts);
+}
 
 TEST(Integration, ChipDataParallelScales) {
   // A training batch large enough that the per-group sub-batch (32) keeps
   // its GEMM efficiency; smaller batches genuinely scale sub-linearly.
-  ops::ConvShape s;
-  s.batch = 128;
-  s.ni = 64;
-  s.no = 64;
-  s.ri = 16;
-  s.ci = 16;
-  const sim::SimConfig cfg;
-  const auto one = run_conv_data_parallel(s, 1, cfg);
-  const auto four = run_conv_data_parallel(s, 4, cfg);
+  const auto one = run_conv_on_groups(16, 64, 128, 1);
+  const auto four = run_conv_on_groups(16, 64, 128, 4);
   EXPECT_EQ(four.groups_used, 4);
   // Near-linear: four groups at least 2.5x faster than one.
   EXPECT_LT(four.cycles, one.cycles / 2.5);
@@ -238,44 +246,21 @@ TEST(Integration, ChipDataParallelScales) {
 }
 
 TEST(Integration, ChipBatchOneCannotSplit) {
-  ops::ConvShape s;
-  s.batch = 1;
-  s.ni = 64;
-  s.no = 64;
-  s.ri = 16;
-  s.ci = 16;
-  const sim::SimConfig cfg;
-  const auto r = run_conv_data_parallel(s, 4, cfg);
+  const auto r = run_conv_on_groups(16, 64, 1, 4);
   EXPECT_EQ(r.groups_used, 1);
 }
 
-}  // namespace
-}  // namespace swatop
-
-namespace swatop {
-namespace {
-
 TEST(Integration, ChipUnevenSplit) {
   // Batch 5 over 3 groups: 2 + 2 + 1; the odd group finishes early, the
-  // slowest one bounds the elapsed time.
-  ops::ConvShape s;
-  s.batch = 5;
-  s.ni = 32;
-  s.no = 32;
-  s.ri = 10;
-  s.ci = 10;
-  const sim::SimConfig cfg;
-  const auto r = run_conv_data_parallel(s, 3, cfg);
+  // slowest one bounds the elapsed time, so some group idled.
+  const auto r = run_conv_on_groups(10, 32, 5, 3);
   EXPECT_EQ(r.groups_used, 3);
-  ASSERT_EQ(r.per_group_cycles.size(), 3u);
-  EXPECT_GE(r.per_group_cycles[0], r.per_group_cycles[2]);
+  ASSERT_EQ(r.layers.size(), 1u);
+  const graph::LayerReport& conv = r.layers[0];
+  ASSERT_TRUE(conv.conv);
+  ASSERT_EQ(conv.groups, 3);
+  EXPECT_LT(conv.group_cycles, conv.groups * (conv.cycles - conv.sync_cycles));
 }
-
-}  // namespace
-}  // namespace swatop
-
-namespace swatop {
-namespace {
 
 TEST(Integration, PortsToSw26010Pro) {
   // Re-tuning the same operator against the successor machine: the 4x SPM
@@ -319,9 +304,10 @@ TEST(Integration, ProTunedStillCorrect) {
   ops::MatmulOp op(72, 56, 40);
   SwatopConfig cfg;
   cfg.machine = sim::SimConfig::sw26010pro();
-  auto [tuned, r] = optimize_and_run(cfg, op);
+  CompiledOp compiled = compile(op, cfg);
+  const rt::RunResult r = compiled.run();
   EXPECT_GT(r.cycles, 0.0);
-  EXPECT_LE(tuned.check_output(), 2e-3);
+  EXPECT_LE(compiled.check(), 2e-3);
 }
 
 TEST(Integration, LowLevelEntryPointsStillWork) {

@@ -13,6 +13,7 @@
 #include "core/swatop.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
+#include "rt/bind.hpp"
 #include "tune/schedule_cache.hpp"
 
 namespace swatop::tune {
@@ -449,10 +450,13 @@ TEST(OptimizerCache, WarmResultIsFunctionallyCorrect) {
   cfg.cache.enabled = true;
   const Optimizer optimizer(cfg);
   (void)optimizer.optimize(op);  // cold: banks the winner
-  OptimizedOperator warm = optimizer.optimize(op);
+  const OptimizedOperator warm = optimizer.optimize(op);
   ASSERT_TRUE(warm.from_cache);
-  warm.execute(sim::ExecMode::Functional);
-  EXPECT_LE(warm.check_output(), 2e-3);
+  sim::CoreGroup cg(optimizer.machine());
+  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
+  op.fill_inputs(cg, bt, warm.candidate.strategy);
+  warm.run(cg, bt, sim::ExecMode::Functional);
+  EXPECT_LE(op.check_output(cg, bt, warm.candidate.strategy), 2e-3);
 }
 
 TEST(OptimizerCache, PersistsAcrossOptimizers) {
@@ -482,6 +486,19 @@ TEST(OptimizerCache, PersistsAcrossOptimizers) {
   std::filesystem::remove(path);
 }
 
+/// Tune `op` into a fresh recorder and run the result timing-only on a core
+/// group observed by that recorder: the run's profile carries this one
+/// optimize() call's tuning counters.
+rt::RunResult tune_and_profile(const Optimizer& optimizer,
+                               const dsl::OperatorDef& op) {
+  obs::Recorder rec(optimizer.config().observability);
+  const OptimizedOperator tuned = optimizer.optimize(op, &rec);
+  sim::CoreGroup cg(optimizer.machine());
+  cg.attach_observer(&rec);
+  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
+  return tuned.run(cg, bt, sim::ExecMode::TimingOnly);
+}
+
 TEST(OptimizerCache, ObservabilityCountsHitsMissesStores) {
   ops::MatmulOp op(64, 64, 32);
   SwatopConfig cfg;
@@ -489,15 +506,13 @@ TEST(OptimizerCache, ObservabilityCountsHitsMissesStores) {
   cfg.observability.enabled = true;
   const Optimizer optimizer(cfg);
 
-  OptimizedOperator cold = optimizer.optimize(op);
-  const auto cold_run = cold.execute(sim::ExecMode::TimingOnly);
+  const auto cold_run = tune_and_profile(optimizer, op);
   ASSERT_TRUE(cold_run.profile.enabled);
   EXPECT_EQ(cold_run.profile.tune.cache_hits, 0);
   EXPECT_EQ(cold_run.profile.tune.cache_misses, 1);
   EXPECT_EQ(cold_run.profile.tune.cache_stores, 1);
 
-  OptimizedOperator warm = optimizer.optimize(op);
-  const auto warm_run = warm.execute(sim::ExecMode::TimingOnly);
+  const auto warm_run = tune_and_profile(optimizer, op);
   EXPECT_EQ(warm_run.profile.tune.cache_hits, 1);
   EXPECT_EQ(warm_run.profile.tune.cache_misses, 0);
   bool saw_hit_span = false;

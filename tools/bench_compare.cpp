@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
+
 namespace {
 
 // ---------------------------------------------------------------- JSON ----
@@ -345,34 +347,28 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   Options opt;
   bool dir_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
+  swatop::cli::Args args(argc, argv, usage);
+  while (args.more()) {
+    const std::string a = args.pop("argument");
     if (a == "--dir") {
       dir_mode = true;
-    } else if (a == "--tol" && i + 1 < argc) {
-      opt.tol = std::strtod(argv[++i], nullptr);
-    } else if (a == "--tol-metric" && i + 1 < argc) {
-      const std::string kv = argv[++i];
+    } else if (a == "--tol") {
+      opt.tol = args.real(a, args.value(a));
+    } else if (a == "--tol-metric") {
+      const std::string kv = args.value(a);
       const auto eq = kv.find('=');
-      if (eq == std::string::npos) {
-        usage();
-        return 2;
-      }
-      opt.metric_tol[kv.substr(0, eq)] =
-          std::strtod(kv.c_str() + eq + 1, nullptr);
+      if (eq == std::string::npos)
+        args.fail("--tol-metric expects NAME=F, got '" + kv + "'");
+      opt.metric_tol[kv.substr(0, eq)] = args.real(a, kv.substr(eq + 1));
     } else if (a == "--include-time") {
       opt.include_time = true;
     } else if (!a.empty() && a[0] == '-') {
-      usage();
-      return 2;
+      args.fail("unknown option '" + a + "'");
     } else {
       positional.push_back(a);
     }
   }
-  if (positional.size() != 2) {
-    usage();
-    return 2;
-  }
+  if (positional.size() != 2) args.fail("expected two paths");
 
   int failures = 0;
   if (dir_mode) {

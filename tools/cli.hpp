@@ -1,5 +1,6 @@
 // Shared command-line parsing for the tools/ binaries (run_network,
-// serve_sim).
+// serve_sim, fuzz_schedules, bench_compare). Header-only and free of swatop
+// link dependencies, so the standalone bench_compare can use it too.
 //
 // Everything here is *strict*: a numeric token must parse in its entirety
 // ("4abc" and "" are errors, not 4 and 0), ranges are checked at the parse

@@ -9,11 +9,11 @@
 //     Replay one (operator, strategy) pair -- the repro one-liner printed
 //     for every failure.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -44,24 +44,17 @@ int main(int argc, char** argv) {
   std::string strategy;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  swatop::cli::Args args(argc, argv, usage);
+  while (args.more()) {
+    const std::string a = args.pop("argument");
     if (a == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(args.int64(a, args.value(a), 0));
     } else if (a == "--cases") {
-      opts.cases = std::strtoll(next(), nullptr, 10);
+      opts.cases = args.int64(a, args.value(a), 0);
     } else if (a == "--max-dim") {
-      opts.max_dim = std::strtoll(next(), nullptr, 10);
+      opts.max_dim = args.int64(a, args.value(a), 1);
     } else if (a == "--tol") {
-      opts.tolerance = std::strtod(next(), nullptr);
+      opts.tolerance = args.real(a, args.value(a));
     } else if (a == "--no-sanitize") {
       opts.sanitize = false;
     } else if (a == "--matmul-only") {
@@ -75,16 +68,14 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--op") {
-      op_spec = next();
+      op_spec = args.value(a);
     } else if (a == "--strategy") {
-      strategy = next();
+      strategy = args.value(a);
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
     } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      usage();
-      return 2;
+      args.fail("unknown argument '" + a + "'");
     }
   }
 
@@ -93,11 +84,7 @@ int main(int argc, char** argv) {
 
   swatop::check::FuzzReport rep;
   if (!op_spec.empty()) {
-    if (strategy.empty()) {
-      std::cerr << "--op requires --strategy\n";
-      usage();
-      return 2;
-    }
+    if (strategy.empty()) args.fail("--op requires --strategy");
     rep = swatop::check::replay(op_spec, strategy, opts);
   } else {
     rep = swatop::check::fuzz_schedules(opts);
