@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   const std::int64_t M = argc > 1 ? std::atoll(argv[1]) : 120;
   const std::int64_t N = argc > 2 ? std::atoll(argv[2]) : 80;
   const std::int64_t K = argc > 3 ? std::atoll(argv[3]) : 48;
+  // Loop variables are interned once, outside the lowering rule: the
+  // scheduler calls it once per candidate, on its worker threads.
+  const ir::VarId m_o("m_o"), n_o("n_o"), k_o("k_o");
 
   auto op =
       dsl::GemmOpBuilder("custom_gemm")
@@ -40,9 +43,9 @@ int main(int argc, char** argv) {
             const std::int64_t Tm = s.factor("Tm");
             const std::int64_t Tn = s.factor("Tn");
             const std::int64_t Tk = s.factor("Tk");
-            const opt::TiledDim dm = opt::make_tiled("m_o", M, Tm);
-            const opt::TiledDim dn = opt::make_tiled("n_o", N, Tn);
-            const opt::TiledDim dk = opt::make_tiled("k_o", K, Tk);
+            const opt::TiledDim dm = opt::make_tiled(m_o, M, Tm);
+            const opt::TiledDim dn = opt::make_tiled(n_o, N, Tn);
+            const opt::TiledDim dk = opt::make_tiled(k_o, K, Tk);
 
             ir::GemmAttrs g;
             g.variant = std::stoi(s.choice("variant"));
@@ -57,9 +60,9 @@ int main(int argc, char** argv) {
                    1, M, dm.valid(), dn.valid()};
 
             const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-                {'m', {"m_o", ir::cst(dm.count), false}},
-                {'n', {"n_o", ir::cst(dn.count), false}},
-                {'k', {"k_o", ir::cst(dk.count), true}},
+                {'m', {m_o, ir::cst(dm.count), false}},
+                {'n', {n_o, ir::cst(dn.count), false}},
+                {'k', {k_o, ir::cst(dk.count), true}},
             };
             return sched::build_nest(
                 sched::order_loops(s.choice("order"), dims),

@@ -114,16 +114,6 @@ Outcome replay_diff_one(const dsl::OperatorDef& op, const ir::StmtPtr& prog,
   return {};
 }
 
-/// Whether `s` is a member of the operator's schedule space. Exact but
-/// O(space); skipped (returns true) for outsized spaces so minimization
-/// stays cheap.
-bool strategy_in_space(const dsl::OperatorDef& op, const dsl::Strategy& s) {
-  const dsl::ScheduleSpace space = op.space();
-  if (space.size() > 20000) return true;
-  const std::vector<dsl::Strategy> all = space.enumerate();
-  return std::find(all.begin(), all.end(), s) != all.end();
-}
-
 /// Re-lower `strat` for the shape `spec` describes and check it still fails
 /// with the same kind. Used by the minimizer.
 bool still_fails(const OpSpec& spec, const dsl::Strategy& strat,
@@ -131,7 +121,7 @@ bool still_fails(const OpSpec& spec, const dsl::Strategy& strat,
                  double tol, std::string* detail) {
   const std::unique_ptr<dsl::OperatorDef> op = make_op(spec);
   if (op == nullptr) return false;
-  if (!strategy_in_space(*op, strat)) return false;
+  if (!op->space().contains(strat)) return false;
   sched::Candidate cand;
   try {
     cand = tune::build_candidate(*op, strat, cfg);
@@ -429,6 +419,14 @@ FuzzReport replay(const std::string& op_spec, const std::string& strategy,
     rep.failures.push_back({"check", op_spec, strategy,
                             "malformed --strategy text",
                             repro_line(*spec, strategy)});
+    return rep;
+  }
+  if (!op->space().contains(*strat)) {
+    rep.failures.push_back(
+        {"check", op_spec, strategy,
+         "--strategy is not a member of the operator's schedule space (a "
+         "variable is missing, unknown or holds an undeclared value)",
+         repro_line(*spec, strategy)});
     return rep;
   }
   sim::SimConfig cfg;

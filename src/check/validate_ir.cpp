@@ -17,7 +17,7 @@ struct Ctx {
   const sim::SimConfig* cfg = nullptr;
   std::vector<std::string> errors;
   std::set<std::string> allocated;
-  std::vector<std::string> loops;  ///< in scope, outermost first
+  std::vector<ir::VarId> loops;    ///< in scope, outermost first
   std::set<std::int64_t> issued;   ///< reply slots some DMA can produce
   /// (slot, reply expression) per DmaWait; the expression is formatted
   /// only if the slot turns out to be an error.
@@ -32,17 +32,17 @@ struct Ctx {
 /// evaluation failure (unbound variable, division by zero), which is
 /// reported separately by the caller.
 std::vector<std::int64_t> parity_values(const ir::Expr& e, const Ctx& c) {
-  std::vector<std::string> used;
-  for (const std::string& v : c.loops)
+  std::vector<ir::VarId> used;
+  for (const ir::VarId v : c.loops)
     if (ir::uses_var(e, v)) used.push_back(v);
   if (used.size() > 10) return {};  // 2^10 cap; lowering never gets close
   std::vector<std::int64_t> out;
   const std::size_t combos = std::size_t{1} << used.size();
   for (std::size_t m = 0; m < combos; ++m) {
     ir::Env env;
-    for (const std::string& v : c.loops) env[v] = 0;
+    for (const ir::VarId v : c.loops) env.set(v, 0);
     for (std::size_t i = 0; i < used.size(); ++i)
-      env[used[i]] = static_cast<std::int64_t>((m >> i) & 1);
+      env.set(used[i], static_cast<std::int64_t>((m >> i) & 1));
     try {
       out.push_back(ir::eval(e, env));
     } catch (const CheckError&) {
@@ -70,7 +70,7 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
       return;
     case ir::StmtKind::For: {
       ir::Env env0;
-      for (const std::string& v : c.loops) env0[v] = 0;
+      for (const ir::VarId v : c.loops) env0.set(v, 0);
       try {
         const std::int64_t n = ir::eval(s->extent, env0);
         if (n <= 0) {
@@ -80,7 +80,8 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
           c.error(os.str());
         }
       } catch (const CheckError&) {
-        c.error("For " + s->var + " extent " + ir::to_string(s->extent) +
+        c.error("For " + s->var.name() + " extent " +
+                ir::to_string(s->extent) +
                 " references a variable not bound by an enclosing loop");
       }
       c.loops.push_back(s->var);

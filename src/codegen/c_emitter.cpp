@@ -21,7 +21,7 @@ std::string emit_expr(const ir::Expr& e) {
       os << e->value << "L";
       break;
     case ir::ExprKind::Var:
-      os << e->name;
+      os << e->var;
       break;
     case ir::ExprKind::Add:
       os << "(" << emit_expr(e->a) << " + " << emit_expr(e->b) << ")";

@@ -66,14 +66,18 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
   };
 
   // Cache fast path: a banked winner is rebuilt directly (one lower +
-  // optimize, no space enumeration, no ranking).
+  // optimize, no space enumeration, no ranking). The file is outside the
+  // program, so a banked strategy that is not a member of the operator's
+  // space (an edited or corrupt entry) is a miss, like one that no longer
+  // lowers cleanly.
   const std::string cache_key =
       cache_ ? tune::ScheduleCache::fingerprint(op.name(), cfg_.machine,
                                                 cfg_.tuner_knobs())
              : std::string();
   if (cache_) {
     const double w0 = rec ? rec->wall_us() : 0.0;
-    if (const auto entry = cache_->lookup(cache_key)) {
+    const auto entry = cache_->lookup(cache_key);
+    if (entry && op.space().contains(entry->strategy)) {
       try {
         const auto t0 = std::chrono::steady_clock::now();
         opt::OptOptions oo = sopts.opt;
@@ -111,8 +115,8 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
         finish();
         return out;
       } catch (const CheckError&) {
-        // A stale/corrupt entry that no longer lowers cleanly: fall
-        // through to a fresh tuning run (which re-banks the key).
+        // A stale entry that no longer lowers cleanly: fall through to a
+        // fresh tuning run (which re-banks the key).
       }
     }
     if (rec) rec->tune().cache_misses += 1;

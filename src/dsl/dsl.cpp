@@ -123,34 +123,52 @@ std::int64_t ScheduleSpace::size() const {
   return n;
 }
 
+Strategy ScheduleSpace::at(std::size_t i) const {
+  SWATOP_CHECK(static_cast<std::int64_t>(i) < size())
+      << "strategy index " << i << " outside a space of " << size();
+  Strategy s;
+  s.set_epilogue(epilogue_);
+  for (auto c = choices_.rbegin(); c != choices_.rend(); ++c) {
+    s.set_choice(c->name, c->options[i % c->options.size()]);
+    i /= c->options.size();
+  }
+  for (auto f = factors_.rbegin(); f != factors_.rend(); ++f) {
+    s.set_factor(f->name, f->candidates[i % f->candidates.size()]);
+    i /= f->candidates.size();
+  }
+  return s;
+}
+
 std::vector<Strategy> ScheduleSpace::enumerate(
     const std::function<bool(const Strategy&)>& valid) const {
   std::vector<Strategy> out;
-  Strategy cur;
-  cur.set_epilogue(epilogue_);
-  // Recursive cartesian product over factors then choices.
-  std::function<void(std::size_t)> rec_choice = [&](std::size_t ci) {
-    if (ci == choices_.size()) {
-      if (!valid || valid(cur)) out.push_back(cur);
-      return;
-    }
-    for (const std::string& opt : choices_[ci].options) {
-      cur.set_choice(choices_[ci].name, opt);
-      rec_choice(ci + 1);
-    }
-  };
-  std::function<void(std::size_t)> rec_factor = [&](std::size_t fi) {
-    if (fi == factors_.size()) {
-      rec_choice(0);
-      return;
-    }
-    for (std::int64_t f : factors_[fi].candidates) {
-      cur.set_factor(factors_[fi].name, f);
-      rec_factor(fi + 1);
-    }
-  };
-  rec_factor(0);
+  const auto n = static_cast<std::size_t>(size());
+  for (std::size_t i = 0; i < n; ++i) {
+    Strategy s = at(i);
+    if (!valid || valid(s)) out.push_back(std::move(s));
+  }
   return out;
+}
+
+bool ScheduleSpace::contains(const Strategy& s) const {
+  if (s.epilogue() != epilogue_ || s.factors_.size() != factors_.size() ||
+      s.choices_.size() != choices_.size())
+    return false;
+  for (const FactorVar& f : factors_) {
+    const auto it = s.factors_.find(f.name);
+    if (it == s.factors_.end() ||
+        std::find(f.candidates.begin(), f.candidates.end(), it->second) ==
+            f.candidates.end())
+      return false;
+  }
+  for (const ChoiceVar& c : choices_) {
+    const auto it = s.choices_.find(c.name);
+    if (it == s.choices_.end() ||
+        std::find(c.options.begin(), c.options.end(), it->second) ==
+            c.options.end())
+      return false;
+  }
+  return true;
 }
 
 bool OperatorDef::prefetch_enabled(const Strategy& s) const {

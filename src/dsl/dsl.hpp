@@ -55,7 +55,7 @@ class Strategy {
   }
 
   /// The elementwise tail fused into the store path (default: none). Set by
-  /// ScheduleSpace::enumerate on every strategy of a fused operator so the
+  /// ScheduleSpace::at on every strategy of a fused operator so the
   /// epilogue participates in the cache key and the serialize round-trip.
   void set_epilogue(const EpilogueSpec& e) { epilogue_ = e; }
   const EpilogueSpec& epilogue() const { return epilogue_; }
@@ -85,6 +85,8 @@ class Strategy {
   }
 
  private:
+  friend class ScheduleSpace;  // contains() counts the assigned names
+
   std::unordered_map<std::string, std::int64_t> factors_;
   std::unordered_map<std::string, std::string> choices_;
   EpilogueSpec epilogue_;
@@ -106,9 +108,22 @@ class ScheduleSpace {
   /// Number of raw assignments (before validity pruning).
   std::int64_t size() const;
 
-  /// Enumerate all assignments; `valid`, when given, prunes.
+  /// The assignment at index `i` of the enumeration order: a mixed-radix
+  /// number whose digits are the variables in declaration order, factors
+  /// before choices, the last choice varying fastest. Stamped with the
+  /// space's epilogue. Requires 0 <= i < size().
+  Strategy at(std::size_t i) const;
+
+  /// Enumerate all assignments (at(0), at(1), ...); `valid`, when given,
+  /// prunes.
   std::vector<Strategy> enumerate(
       const std::function<bool(const Strategy&)>& valid = nullptr) const;
+
+  /// Whether `s` is one of the assignments: every factor and choice holds a
+  /// declared candidate or option, no other name is assigned, and the
+  /// epilogue is the space's. Strategies from outside the program (cache
+  /// files, command lines) must pass this before they are lowered.
+  bool contains(const Strategy& s) const;
 
  private:
   std::vector<FactorVar> factors_;

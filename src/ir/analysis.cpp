@@ -16,8 +16,8 @@ std::int64_t spm_footprint(const StmtPtr& s) {
   return total;
 }
 
-std::vector<std::string> loop_vars(const StmtPtr& s) {
-  std::vector<std::string> vars;
+std::vector<VarId> loop_vars(const StmtPtr& s) {
+  std::vector<VarId> vars;
   visit(s, [&](const StmtPtr& n) {
     if (n->kind == StmtKind::For) vars.push_back(n->var);
   });
@@ -53,7 +53,7 @@ std::int64_t count_rec(const StmtPtr& s, Env& env) {
     }
     case StmtKind::For: {
       const std::int64_t n = eval(s->extent, env);
-      env[s->var] = 0;
+      env.set(s->var, 0);
       const std::int64_t inner = count_rec(s->for_body, env);
       env.erase(s->var);
       return n * inner;

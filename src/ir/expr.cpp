@@ -1,11 +1,64 @@
 #include "ir/expr.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <mutex>
+#include <ostream>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.hpp"
 
 namespace swatop::ir {
+
+namespace {
+
+/// Names by id, append-only. A deque never moves its elements, so a name
+/// returned by reference stays valid while others are appended.
+struct Interner {
+  std::mutex mu;
+  std::unordered_map<std::string, std::uint32_t> ids;
+  std::deque<std::string> names{std::string()};  ///< id 0: no variable
+};
+
+Interner& interner() {
+  static Interner table;
+  return table;
+}
+
+}  // namespace
+
+VarId::VarId(std::string_view name) {
+  SWATOP_CHECK(!name.empty()) << "loop variable without a name";
+  Interner& t = interner();
+  std::lock_guard<std::mutex> lock(t.mu);
+  const auto [it, inserted] = t.ids.try_emplace(
+      std::string(name), static_cast<std::uint32_t>(t.names.size()));
+  if (inserted) t.names.emplace_back(name);
+  index_ = it->second;
+}
+
+const std::string& VarId::name() const {
+  Interner& t = interner();
+  std::lock_guard<std::mutex> lock(t.mu);
+  return t.names[index_];
+}
+
+std::ostream& operator<<(std::ostream& os, VarId v) { return os << v.name(); }
+
+Env::Env(
+    std::initializer_list<std::pair<std::string_view, std::int64_t>> init) {
+  for (const auto& [name, value] : init) set(VarId(name), value);
+}
+
+void Env::set(VarId v, std::int64_t value) {
+  if (v.index() >= slots_.size()) slots_.resize(v.index() + 1);
+  slots_[v.index()] = value;
+}
+
+void Env::erase(VarId v) {
+  if (v.index() < slots_.size()) slots_[v.index()].reset();
+}
 
 namespace {
 
@@ -31,10 +84,11 @@ Expr cst(std::int64_t v) {
   return n;
 }
 
-Expr var(std::string name) {
+Expr var(VarId v) {
+  SWATOP_CHECK(v) << "expression over no variable";
   auto n = std::make_shared<ExprNode>();
   n->kind = ExprKind::Var;
-  n->name = std::move(name);
+  n->var = v;
   return n;
 }
 
@@ -111,9 +165,9 @@ std::int64_t eval(const Expr& e, const Env& env) {
     case ExprKind::Const:
       return e->value;
     case ExprKind::Var: {
-      auto it = env.find(e->name);
-      SWATOP_CHECK(it != env.end()) << "unbound variable '" << e->name << "'";
-      return it->second;
+      const std::int64_t* v = env.find(e->var);
+      SWATOP_CHECK(v != nullptr) << "unbound variable '" << e->var << "'";
+      return *v;
     }
     case ExprKind::Add:
       return eval(e->a, env) + eval(e->b, env);
@@ -145,25 +199,25 @@ std::int64_t eval(const Expr& e, const Env& env) {
   SWATOP_UNREACHABLE("bad expr kind");
 }
 
-bool uses_var(const Expr& e, const std::string& name) {
+bool uses_var(const Expr& e, VarId v) {
   if (e == nullptr) return false;
-  if (e->kind == ExprKind::Var) return e->name == name;
-  return uses_var(e->a, name) || uses_var(e->b, name) || uses_var(e->c, name);
+  if (e->kind == ExprKind::Var) return e->var == v;
+  return uses_var(e->a, v) || uses_var(e->b, v) || uses_var(e->c, v);
 }
 
-Expr substitute(const Expr& e, const std::string& name, const Expr& repl) {
+Expr substitute(const Expr& e, VarId v, const Expr& repl) {
   if (e == nullptr) return e;
   switch (e->kind) {
     case ExprKind::Const:
       return e;
     case ExprKind::Var:
-      return e->name == name ? repl : e;
+      return e->var == v ? repl : e;
     default:
       break;
   }
-  Expr a = substitute(e->a, name, repl);
-  Expr b = substitute(e->b, name, repl);
-  Expr c = substitute(e->c, name, repl);
+  Expr a = substitute(e->a, v, repl);
+  Expr b = substitute(e->b, v, repl);
+  Expr c = substitute(e->c, v, repl);
   // No operand changed: the node is already what rebuilding it would give.
   if (a == e->a && b == e->b && c == e->c) return e;
   switch (e->kind) {
@@ -212,7 +266,7 @@ std::string to_string(const Expr& e) {
       os << e->value;
       break;
     case ExprKind::Var:
-      os << e->name;
+      os << e->var;
       break;
     case ExprKind::Min:
       os << "min(" << to_string(e->a) << ", " << to_string(e->b) << ")";

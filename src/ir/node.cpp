@@ -11,12 +11,12 @@ StmtPtr make_seq(std::vector<StmtPtr> body) {
   return s;
 }
 
-StmtPtr make_for(std::string var, Expr extent, StmtPtr body,
+StmtPtr make_for(VarId var, Expr extent, StmtPtr body,
                  bool reduction) {
-  SWATOP_CHECK(!var.empty()) << "for loop without variable";
+  SWATOP_CHECK(var) << "for loop without variable";
   auto s = std::make_shared<Stmt>();
   s->kind = StmtKind::For;
-  s->var = std::move(var);
+  s->var = var;
   s->extent = std::move(extent);
   s->for_body = std::move(body);
   s->reduction = reduction;

@@ -132,6 +132,7 @@ dsl::ScheduleSpace ConvBwdDataOp::space() const {
 }
 
 ir::StmtPtr ConvBwdDataOp::lower(const dsl::Strategy& s) const {
+  const sched::LoopVars& lv = sched::loop_vars();
   const std::int64_t B = shape_.batch, Ni = shape_.ni, No = shape_.no;
   const std::int64_t Ci = shape_.ci, Ri = shape_.ri;
   const std::int64_t Kr = shape_.kr, Kc = shape_.kc;
@@ -149,9 +150,9 @@ ir::StmtPtr ConvBwdDataOp::lower(const dsl::Strategy& s) const {
   if (Npad % 8 != 0) return nullptr;
   if (!vec_m && (Npad / 8) % 4 != 0) return nullptr;
 
-  const opt::TiledDim dm = opt::make_tiled("m_o", Ni, Tm);
-  const opt::TiledDim dk = opt::make_tiled("k_o", No, Tk);
-  const opt::TiledDim dc = opt::make_tiled("c_o", Ci, Tc);
+  const opt::TiledDim dm = opt::make_tiled(lv.m_o, Ni, Tm);
+  const opt::TiledDim dk = opt::make_tiled(lv.k_o, No, Tk);
+  const opt::TiledDim dc = opt::make_tiled(lv.c_o, Ci, Tc);
   if (switch_mode) {
     if (!dm.ragged && !dk.ragged && !dc.ragged) return nullptr;
     if (!opt::switch_legal(dm, 8, vec_m ? 4 : 1)) return nullptr;
@@ -174,7 +175,7 @@ ir::StmtPtr ConvBwdDataOp::lower(const dsl::Strategy& s) const {
   g.K = switch_mode ? dk.valid() : ir::cst(Tk);
   g.N = switch_mode ? ir::mul(dc.valid(), ir::cst(B)) : ir::cst(Npad);
 
-  const ir::Expr r = ir::var("r"), u = ir::var("u"), v = ir::var("v");
+  const ir::Expr r = ir::var(lv.r), u = ir::var(lv.u), v = ir::var(lv.v);
   const ir::Expr uf = ir::sub(ir::cst(Kr - 1), u);  // flipped filter row
   const ir::Expr vf = ir::sub(ir::cst(Kc - 1), v);
 
@@ -197,12 +198,12 @@ ir::StmtPtr ConvBwdDataOp::lower(const dsl::Strategy& s) const {
          di_ni, 1, dm.valid(), ir::mul(dc.valid(), ir::cst(B))};
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-      {'r', {"r", ir::cst(Ri), false}},
-      {'c', {"c_o", ir::cst(dc.count), false}},
-      {'m', {"m_o", ir::cst(dm.count), false}},
-      {'u', {"u", ir::cst(Kr), true}},
-      {'v', {"v", ir::cst(Kc), true}},
-      {'k', {"k_o", ir::cst(dk.count), true}},
+      {'r', {lv.r, ir::cst(Ri), false}},
+      {'c', {lv.c_o, ir::cst(dc.count), false}},
+      {'m', {lv.m_o, ir::cst(dm.count), false}},
+      {'u', {lv.u, ir::cst(Kr), true}},
+      {'v', {lv.v, ir::cst(Kc), true}},
+      {'k', {lv.k_o, ir::cst(dk.count), true}},
   };
   return sched::build_nest(sched::order_loops(s.choice("order"), dims),
                            ir::make_gemm(g));
@@ -281,6 +282,7 @@ dsl::ScheduleSpace ConvBwdFilterOp::space() const {
 }
 
 ir::StmtPtr ConvBwdFilterOp::lower(const dsl::Strategy& s) const {
+  const sched::LoopVars& lv = sched::loop_vars();
   const std::int64_t B = shape_.batch, Ni = shape_.ni, No = shape_.no;
   const std::int64_t Ci = shape_.ci, Kr = shape_.kr, Kc = shape_.kc;
   const std::int64_t Ro = shape_.ro(), Co = shape_.co();
@@ -297,9 +299,9 @@ ir::StmtPtr ConvBwdFilterOp::lower(const dsl::Strategy& s) const {
   const std::int64_t Kpad = Tc * B;
   if (Kpad % 8 != 0) return nullptr;
 
-  const opt::TiledDim dm = opt::make_tiled("m_o", Ni, Tni);
-  const opt::TiledDim dn = opt::make_tiled("n_o", No, Tno);
-  const opt::TiledDim dc = opt::make_tiled("c_o", Co, Tc);
+  const opt::TiledDim dm = opt::make_tiled(lv.m_o, Ni, Tni);
+  const opt::TiledDim dn = opt::make_tiled(lv.n_o, No, Tno);
+  const opt::TiledDim dc = opt::make_tiled(lv.c_o, Co, Tc);
   if (switch_mode) {
     if (!dm.ragged && !dn.ragged && !dc.ragged) return nullptr;
     if (!opt::switch_legal(dm, 8, vec_m ? 4 : 1)) return nullptr;
@@ -317,7 +319,7 @@ ir::StmtPtr ConvBwdFilterOp::lower(const dsl::Strategy& s) const {
   g.N = switch_mode ? dn.valid() : ir::cst(Tno);
   g.K = switch_mode ? ir::mul(dc.valid(), ir::cst(B)) : ir::cst(Kpad);
 
-  const ir::Expr r = ir::var("r"), u = ir::var("u"), v = ir::var("v");
+  const ir::Expr r = ir::var(lv.r), u = ir::var(lv.u), v = ir::var(lv.v);
 
   // A: activation slice, rows = ni (M), cols = fused (co, b) (K).
   g.a = {"in",
@@ -338,12 +340,12 @@ ir::StmtPtr ConvBwdFilterOp::lower(const dsl::Strategy& s) const {
          w_ni, 1, dm.valid(), dn.valid()};
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-      {'u', {"u", ir::cst(Kr), false}},
-      {'v', {"v", ir::cst(Kc), false}},
-      {'m', {"m_o", ir::cst(dm.count), false}},
-      {'n', {"n_o", ir::cst(dn.count), false}},
-      {'r', {"r", ir::cst(Ro), true}},
-      {'c', {"c_o", ir::cst(dc.count), true}},
+      {'u', {lv.u, ir::cst(Kr), false}},
+      {'v', {lv.v, ir::cst(Kc), false}},
+      {'m', {lv.m_o, ir::cst(dm.count), false}},
+      {'n', {lv.n_o, ir::cst(dn.count), false}},
+      {'r', {lv.r, ir::cst(Ro), true}},
+      {'c', {lv.c_o, ir::cst(dc.count), true}},
   };
   return sched::build_nest(sched::order_loops(s.choice("order"), dims),
                            ir::make_gemm(g));

@@ -65,11 +65,19 @@ dsl::ScheduleSpace ImplicitConvOp::space() const {
 }
 
 ir::StmtPtr ImplicitConvOp::lower(const dsl::Strategy& s) const {
+  const sched::LoopVars& lv = sched::loop_vars();
   const std::int64_t B = shape_.batch, Ni = shape_.ni, No = shape_.no;
   const std::int64_t Ci = shape_.ci, Kr = shape_.kr, Kc = shape_.kc;
   const std::int64_t Ro = shape_.ro(), Co = shape_.co();
   const std::int64_t S = shape_.stride;
   if (S != 1 && s.factor("Tco") != 1) return nullptr;
+  // A fused epilogue must see finished sums: a reduction loop (u, v, i)
+  // outside the last of C's loops (r, c, o) stores partial sums, which DMA
+  // inference rejects. Reject here, before anything is built.
+  const std::string& order = s.choice("order");
+  if (epi_.compute() && order.find_first_of("uvi") <
+                            order.find_last_of("rco"))
+    return nullptr;
 
   const std::int64_t Tno = s.factor("Tno");
   const std::int64_t Tni = s.factor("Tni");
@@ -85,9 +93,9 @@ ir::StmtPtr ImplicitConvOp::lower(const dsl::Strategy& s) const {
   if (Npad % 8 != 0) return nullptr;
   if (!vec_m && (Npad / 8) % 4 != 0) return nullptr;
 
-  const opt::TiledDim dno = opt::make_tiled("o_o", No, Tno);
-  const opt::TiledDim dni = opt::make_tiled("i_o", Ni, Tni);
-  const opt::TiledDim dco = opt::make_tiled("c_o", Co, Tco);
+  const opt::TiledDim dno = opt::make_tiled(lv.o_o, No, Tno);
+  const opt::TiledDim dni = opt::make_tiled(lv.i_o, Ni, Tni);
+  const opt::TiledDim dco = opt::make_tiled(lv.c_o, Co, Tco);
 
   if (switch_mode) {
     if (!dno.ragged && !dni.ragged && !dco.ragged) return nullptr;
@@ -120,7 +128,7 @@ ir::StmtPtr ImplicitConvOp::lower(const dsl::Strategy& s) const {
   g.K = switch_mode ? dni.valid() : ir::cst(Tni);
   g.N = switch_mode ? ir::mul(dco.valid(), ir::cst(B)) : ir::cst(Npad);
 
-  const ir::Expr u = ir::var("u"), v = ir::var("v"), r = ir::var("r");
+  const ir::Expr u = ir::var(lv.u), v = ir::var(lv.v), r = ir::var(lv.r);
 
   // A: weight slice, rows = no, cols = ni.
   g.a = {"w",
@@ -166,14 +174,14 @@ ir::StmtPtr ImplicitConvOp::lower(const dsl::Strategy& s) const {
   }
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-      {'r', {"r", ir::cst(Ro), false}},
-      {'c', {"c_o", ir::cst(dco.count), false}},
-      {'o', {"o_o", ir::cst(dno.count), false}},
-      {'u', {"u", ir::cst(Kr), true}},
-      {'v', {"v", ir::cst(Kc), true}},
-      {'i', {"i_o", ir::cst(dni.count), true}},
+      {'r', {lv.r, ir::cst(Ro), false}},
+      {'c', {lv.c_o, ir::cst(dco.count), false}},
+      {'o', {lv.o_o, ir::cst(dno.count), false}},
+      {'u', {lv.u, ir::cst(Kr), true}},
+      {'v', {lv.v, ir::cst(Kc), true}},
+      {'i', {lv.i_o, ir::cst(dni.count), true}},
   };
-  return sched::build_nest(sched::order_loops(s.choice("order"), dims),
+  return sched::build_nest(sched::order_loops(order, dims),
                            ir::make_gemm(g));
 }
 

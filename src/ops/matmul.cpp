@@ -48,6 +48,7 @@ dsl::ScheduleSpace MatmulOp::space() const {
 }
 
 ir::StmtPtr MatmulOp::lower(const dsl::Strategy& s) const {
+  const sched::LoopVars& lv = sched::loop_vars();
   const std::int64_t Tm = s.factor("Tm");
   const std::int64_t Tn = s.factor("Tn");
   const std::int64_t Tk = s.factor("Tk");
@@ -56,9 +57,9 @@ ir::StmtPtr MatmulOp::lower(const dsl::Strategy& s) const {
                      isa::VecDim::M;
   const bool switch_mode = s.choice("boundary") == "switch";
 
-  const opt::TiledDim dm = opt::make_tiled("m_o", M_, Tm);
-  const opt::TiledDim dn = opt::make_tiled("n_o", N_, Tn);
-  const opt::TiledDim dk = opt::make_tiled("k_o", K_, Tk);
+  const opt::TiledDim dm = opt::make_tiled(lv.m_o, M_, Tm);
+  const opt::TiledDim dn = opt::make_tiled(lv.n_o, N_, Tn);
+  const opt::TiledDim dk = opt::make_tiled(lv.k_o, K_, Tk);
 
   if (switch_mode) {
     // Parameter switching only differs from padding at ragged boundaries,
@@ -83,9 +84,9 @@ ir::StmtPtr MatmulOp::lower(const dsl::Strategy& s) const {
          dm.valid(), dn.valid()};
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-      {'m', {"m_o", ir::cst(dm.count), false}},
-      {'n', {"n_o", ir::cst(dn.count), false}},
-      {'k', {"k_o", ir::cst(dk.count), true}},
+      {'m', {lv.m_o, ir::cst(dm.count), false}},
+      {'n', {lv.n_o, ir::cst(dn.count), false}},
+      {'k', {lv.k_o, ir::cst(dk.count), true}},
   };
   return sched::build_nest(sched::order_loops(s.choice("order"), dims),
                            ir::make_gemm(g));

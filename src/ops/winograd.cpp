@@ -142,6 +142,7 @@ dsl::ScheduleSpace WinogradGemmOp::space() const {
 }
 
 ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
+  const sched::LoopVars& lv = sched::loop_vars();
   const std::int64_t No = plan_.shape.no, Ni = plan_.shape.ni, P = plan_.P;
   const std::int64_t Tm = s.factor("Tm");
   const std::int64_t Tn = s.factor("Tn");
@@ -151,9 +152,9 @@ ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
                      isa::VecDim::M;
   const bool switch_mode = s.choice("boundary") == "switch";
 
-  const opt::TiledDim dm = opt::make_tiled("m_o", No, Tm);
-  const opt::TiledDim dn = opt::make_tiled("n_o", P, Tn);
-  const opt::TiledDim dk = opt::make_tiled("k_o", Ni, Tk);
+  const opt::TiledDim dm = opt::make_tiled(lv.m_o, No, Tm);
+  const opt::TiledDim dn = opt::make_tiled(lv.n_o, P, Tn);
+  const opt::TiledDim dk = opt::make_tiled(lv.k_o, Ni, Tk);
   if (switch_mode) {
     if (!dm.ragged && !dn.ragged && !dk.ragged) return nullptr;
     if (!opt::switch_legal(dm, 8, vec_m ? 4 : 1)) return nullptr;
@@ -167,7 +168,7 @@ ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
   g.N = switch_mode ? dn.valid() : ir::cst(Tn);
   g.K = switch_mode ? dk.valid() : ir::cst(Tk);
 
-  const ir::Expr t = ir::var("t");
+  const ir::Expr t = ir::var(lv.t);
   // U: (No x Ni) column-major per t.
   g.a = {"U",
          ir::add(ir::mul(t, ir::cst(No * Ni)),
@@ -185,11 +186,11 @@ ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
          1, No, dm.valid(), dn.valid()};
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
-      {'m', {"m_o", ir::cst(dm.count), false}},
-      {'n', {"n_o", ir::cst(dn.count), false}},
-      {'k', {"k_o", ir::cst(dk.count), true}},
+      {'m', {lv.m_o, ir::cst(dm.count), false}},
+      {'n', {lv.n_o, ir::cst(dn.count), false}},
+      {'k', {lv.k_o, ir::cst(dk.count), true}},
   };
-  std::vector<sched::LoopSpec> loops = {{"t", ir::cst(plan_.T()), false}};
+  std::vector<sched::LoopSpec> loops = {{lv.t, ir::cst(plan_.T()), false}};
   for (const auto& l : sched::order_loops(s.choice("order"), dims))
     loops.push_back(l);
   return sched::build_nest(loops, ir::make_gemm(g));

@@ -62,7 +62,7 @@ std::vector<GetGroup> collect_gets(const ir::StmtPtr& body) {
 }
 
 /// Substitute `v -> repl` through all expressions of a statement subtree.
-void subst_stmt(const ir::StmtPtr& s, const std::string& v,
+void subst_stmt(const ir::StmtPtr& s, ir::VarId v,
                 const ir::Expr& repl) {
   ir::visit(s, [&](const ir::StmtPtr& n) {
     auto sub = [&](ir::Expr& e) {
@@ -152,7 +152,7 @@ bool apply_one(ir::StmtPtr& root) {
   if (!find_target(root, &parent, &loop_idx)) return false;
 
   const ir::StmtPtr loop = parent->body[loop_idx];
-  const std::string v = loop->var;
+  const ir::VarId v = loop->var;
   const ir::Expr extent = loop->extent;
   ir::StmtPtr body = loop->for_body;
   SWATOP_CHECK(body->kind == ir::StmtKind::Seq);

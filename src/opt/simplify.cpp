@@ -9,7 +9,7 @@ namespace ir = swatop::ir;
 namespace {
 
 /// Substitute var -> 0 through every expression of a subtree.
-void subst_zero(const ir::StmtPtr& s, const std::string& v) {
+void subst_zero(const ir::StmtPtr& s, ir::VarId v) {
   const ir::Expr zero = ir::cst(0);
   ir::visit(s, [&](const ir::StmtPtr& n) {
     auto sub = [&](ir::Expr& e) {

@@ -8,13 +8,9 @@ namespace swatop::rt {
 
 namespace ir = swatop::ir;
 
-int ExprEvaluator::slot_of(const std::string& name) {
-  auto it = names_.find(name);
-  if (it != names_.end()) return it->second;
-  const int slot = static_cast<int>(values_.size());
-  values_.push_back(0);
-  names_.emplace(name, slot);
-  return slot;
+int ExprEvaluator::slot_of(ir::VarId v) {
+  if (v.index() >= values_.size()) values_.resize(v.index() + 1, 0);
+  return static_cast<int>(v.index());
 }
 
 void ExprEvaluator::emit(const ir::Expr& e, Code& out) {
@@ -24,7 +20,7 @@ void ExprEvaluator::emit(const ir::Expr& e, Code& out) {
       out.push_back({Op::PushConst, e->value});
       return;
     case ir::ExprKind::Var:
-      out.push_back({Op::PushVar, slot_of(e->name)});
+      out.push_back({Op::PushVar, slot_of(e->var)});
       return;
     case ir::ExprKind::Select:
       emit(e->a, out);

@@ -1,15 +1,14 @@
 // Fast expression evaluation for the runtime's hot loops.
 //
-// ir::eval walks the shared expression tree and hash-looks-up every
-// variable by name -- fine for passes, too slow for the timing interpreter
-// that evaluates the same handful of expressions millions of times. This
-// evaluator compiles each expression once (on first use, cached by node
-// pointer) into a postfix program over integer slots and keeps variable
-// values in a flat vector.
+// ir::eval walks the shared expression tree -- fine for passes, too slow for
+// the timing interpreter that evaluates the same handful of expressions
+// millions of times. This evaluator compiles each expression once (on first
+// use, cached by node pointer) into a postfix program and keeps variable
+// values in a flat vector indexed by the variable's interned id, the same
+// slot ir::Env uses.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,8 +18,8 @@ namespace swatop::rt {
 
 class ExprEvaluator {
  public:
-  /// Slot for a variable name (assigned on first use).
-  int slot_of(const std::string& name);
+  /// Slot of a variable (its interned id), made addressable with value 0.
+  int slot_of(ir::VarId v);
 
   /// Bind a slot's current value.
   void set(int slot, std::int64_t v) {
@@ -61,7 +60,6 @@ class ExprEvaluator {
     Code code;
   };
   std::unordered_map<const ir::ExprNode*, Entry> cache_;
-  std::unordered_map<std::string, int> names_;
   std::vector<std::int64_t> values_;
 };
 

@@ -4,6 +4,11 @@
 
 namespace swatop::sched {
 
+const LoopVars& loop_vars() {
+  static const LoopVars vars;
+  return vars;
+}
+
 ir::StmtPtr build_nest(const std::vector<LoopSpec>& loops,
                        ir::StmtPtr innermost) {
   ir::StmtPtr cur = ir::make_seq({std::move(innermost)});

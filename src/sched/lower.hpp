@@ -12,9 +12,19 @@
 
 namespace swatop::sched {
 
+/// The loop variables of the built-in operators, interned once per process:
+/// lowering runs per candidate on the sweep workers, which must not take
+/// the interner's lock.
+struct LoopVars {
+  ir::VarId r{"r"}, u{"u"}, v{"v"}, t{"t"};
+  ir::VarId m_o{"m_o"}, n_o{"n_o"}, k_o{"k_o"};
+  ir::VarId c_o{"c_o"}, o_o{"o_o"}, i_o{"i_o"};
+};
+const LoopVars& loop_vars();
+
 /// One loop of the nest, outermost first.
 struct LoopSpec {
-  std::string var;
+  ir::VarId var;
   ir::Expr extent;
   bool reduction = false;
 };

@@ -31,10 +31,10 @@ std::int64_t Scheduler::space_size(const dsl::OperatorDef& op) const {
 }
 
 obs::SweepCounts Scheduler::sweep(const dsl::OperatorDef& op,
-                                  const std::vector<dsl::Strategy>& strategies,
                                   const SchedulerOptions& opts,
                                   const VisitorFactory& make_visitor) const {
-  const std::size_t n = strategies.size();
+  const dsl::ScheduleSpace space = op.space();
+  const auto n = static_cast<std::size_t>(space.size());
   const std::size_t nthreads =
       opts.max_candidates > 0
           ? 1  // the cap bounds lowering work: keep the early-exit loop
@@ -68,11 +68,12 @@ obs::SweepCounts Scheduler::sweep(const dsl::OperatorDef& op,
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       if (i > error_index.load()) break;
       try {
-        ir::StmtPtr prog = op.lower(strategies[i]);
+        dsl::Strategy s = space.at(i);
+        ir::StmtPtr prog = op.lower(s);
         if (prog == nullptr) continue;  // structurally invalid
         ++c.lowered;
         opt::OptOptions o = opts.opt;
-        o.prefetch = opts.opt.prefetch && op.prefetch_enabled(strategies[i]);
+        o.prefetch = opts.opt.prefetch && op.prefetch_enabled(s);
         if (!opt::optimize(prog, cfg_, o)) {  // pruned
           ++c.dropped;
           continue;
@@ -81,7 +82,7 @@ obs::SweepCounts Scheduler::sweep(const dsl::OperatorDef& op,
         // validation failure here is a lowering or optimizer bug, not an
         // invalid strategy, so it throws instead of dropping the candidate.
         check::validate_ir_or_throw(prog, cfg_);
-        visit(i, prog, o.prefetch);
+        visit(i, s, prog, o.prefetch);
         ++c.kept;
         if (opts.max_candidates > 0 && c.kept >= opts.max_candidates) break;
       } catch (...) {
@@ -106,11 +107,12 @@ obs::SweepCounts Scheduler::sweep(const dsl::OperatorDef& op,
 
 std::vector<Candidate> Scheduler::candidates(
     const dsl::OperatorDef& op, const SchedulerOptions& opts) const {
-  const std::vector<dsl::Strategy> strategies = op.space().enumerate();
-  std::vector<std::optional<Candidate>> slots(strategies.size());
-  sweep(op, strategies, opts, [&] {
-    return [&](std::size_t i, ir::StmtPtr& prog, bool prefetch) {
-      slots[i] = Candidate{strategies[i], std::move(prog), prefetch};
+  std::vector<std::optional<Candidate>> slots(
+      static_cast<std::size_t>(op.space().size()));
+  sweep(op, opts, [&] {
+    return [&](std::size_t i, dsl::Strategy& s, ir::StmtPtr& prog,
+               bool prefetch) {
+      slots[i] = Candidate{std::move(s), std::move(prog), prefetch};
     };
   });
   std::vector<Candidate> out;

@@ -36,12 +36,13 @@ struct SchedulerOptions {
 };
 
 /// Receives one surviving candidate on the worker thread that built it: the
-/// strategy's enumeration index, its optimized and validated program, and
-/// whether double buffering was applied. The sweep releases the program on
-/// that worker when the visitor returns, unless the visitor moved it out.
+/// strategy's enumeration index, the strategy (decoded on that worker), its
+/// optimized and validated program, and whether double buffering was
+/// applied. The sweep releases the strategy and the program on that worker
+/// when the visitor returns, unless the visitor moved them out.
 using CandidateVisitor =
-    std::function<void(std::size_t index, ir::StmtPtr& program,
-                        bool prefetch)>;
+    std::function<void(std::size_t index, dsl::Strategy& strategy,
+                       ir::StmtPtr& program, bool prefetch)>;
 
 /// Called once per worker, on that worker's thread, so per-worker state (a
 /// CostModel and its memo) lives in the visitor it returns.
@@ -54,13 +55,13 @@ class Scheduler {
   /// Raw size of the operator's schedule space (before pruning).
   std::int64_t space_size(const dsl::OperatorDef& op) const;
 
-  /// The one sweep: every strategy is lowered, optimized and validated on a
+  /// The one sweep: every index of the operator's schedule space is
+  /// decoded (ScheduleSpace::at), lowered, optimized and validated on a
   /// worker, and each survivor is handed to that worker's visitor. An
   /// exception on a worker (the IR validator flags lowering or optimizer
   /// bugs) is rethrown on the calling thread; the lowest failing index
   /// wins, so the error is the one a serial sweep would raise.
   obs::SweepCounts sweep(const dsl::OperatorDef& op,
-                         const std::vector<dsl::Strategy>& strategies,
                          const SchedulerOptions& opts,
                          const VisitorFactory& make_visitor) const;
 

@@ -28,10 +28,10 @@ void CostModel::walk(const ir::StmtPtr& s, ir::Env& env, StaticCost* acc,
       // (n-1) first-shape iterations plus the last iteration evaluated
       // separately: this prices ragged boundary tiles and the final
       // iteration's skipped prefetch exactly, while staying static.
-      env[s->var] = 0;
+      env.set(s->var, 0);
       walk(s->for_body, env, acc, scale * static_cast<double>(n - 1));
       if (n > 1) {
-        env[s->var] = n - 1;
+        env.set(s->var, n - 1);
         walk(s->for_body, env, acc, scale);
       } else {
         walk(s->for_body, env, acc, scale);

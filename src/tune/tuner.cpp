@@ -27,39 +27,48 @@ double now_seconds() {
 /// The surviving strategies of one sweep and their cost-model estimates.
 struct Ranked {
   std::vector<dsl::Strategy> strategies;  ///< survivors, enumeration order
-  std::vector<double> est;                ///< index-aligned estimates
+  std::vector<std::string> texts;  ///< their to_string(), when journaled
+  std::vector<double> est;         ///< index-aligned estimates
   obs::SweepCounts counts;
 };
 
 /// The model tuner's streamed sweep. Each worker owns a CostModel (its
-/// DMA-cost memo is not shareable) and frees every program it built as soon
-/// as the estimate is taken, so only about one program per worker is alive
-/// at a time.
+/// DMA-cost memo is not shareable), frees every program it built as soon as
+/// the estimate is taken, and keeps only a survivor's strategy (formatted
+/// there too when `texts` is set), so the calling thread only gathers.
 Ranked rank_sweep(const dsl::OperatorDef& op,
                   const sched::SchedulerOptions& opts,
-                  const sim::SimConfig& cfg) {
-  std::vector<dsl::Strategy> all = op.space().enumerate();
+                  const sim::SimConfig& cfg, bool texts) {
   struct Row {
     bool kept = false;
     double est = 0.0;
+    dsl::Strategy strategy;
+    std::string text;
   };
-  std::vector<Row> rows(all.size());
+  std::vector<Row> rows(static_cast<std::size_t>(op.space().size()));
   const GemmCostModel& gm = gemm_cost_model(cfg);
   Ranked r;
-  r.counts = sched::Scheduler(cfg).sweep(op, all, opts, [&] {
-    return [&rows, model = std::make_shared<const CostModel>(cfg, gm)](
-               std::size_t i, ir::StmtPtr& prog, bool) {
-      rows[i] = {true, model->estimate(prog).total()};
+  r.counts = sched::Scheduler(cfg).sweep(op, opts, [&] {
+    return [&rows, texts, model = std::make_shared<const CostModel>(cfg, gm)](
+               std::size_t i, dsl::Strategy& s, ir::StmtPtr& prog, bool) {
+      Row& row = rows[i];
+      row.kept = true;
+      row.est = model->estimate(prog).total();
+      if (texts) row.text = s.to_string();
+      row.strategy = std::move(s);
     };
   });
   SWATOP_CHECK(r.counts.kept > 0)
       << "no valid schedule candidate for " << op.name();
-  r.strategies.reserve(static_cast<std::size_t>(r.counts.kept));
-  r.est.reserve(static_cast<std::size_t>(r.counts.kept));
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (!rows[i].kept) continue;
-    r.strategies.push_back(std::move(all[i]));
-    r.est.push_back(rows[i].est);
+  const auto kept = static_cast<std::size_t>(r.counts.kept);
+  r.strategies.reserve(kept);
+  r.est.reserve(kept);
+  if (texts) r.texts.reserve(kept);
+  for (Row& row : rows) {
+    if (!row.kept) continue;
+    r.strategies.push_back(std::move(row.strategy));
+    r.est.push_back(row.est);
+    if (texts) r.texts.push_back(std::move(row.text));
   }
   return r;
 }
@@ -91,20 +100,22 @@ std::vector<std::int64_t> ranks_by_score(const std::vector<double>& score) {
   return rank;
 }
 
-/// Append one row per candidate (in index order, from the calling thread).
-/// `predicted`/`measured` may be empty; missing values journal as -1.
+/// Append one row per candidate (in index order, from the calling thread),
+/// given its strategy's to_string(). `predicted`/`measured` may be empty;
+/// missing values journal as -1.
 void journal_candidates(Journal* journal, const dsl::OperatorDef& op,
                         const char* phase,
-                        const std::vector<dsl::Strategy>& strategies,
+                        const std::vector<std::string>& texts,
                         const std::vector<double>& predicted,
                         const std::vector<double>& measured,
                         const std::vector<std::int64_t>& rank,
                         std::size_t chosen_i) {
-  for (std::size_t i = 0; i < strategies.size(); ++i) {
+  const std::string name = op.name();
+  for (std::size_t i = 0; i < texts.size(); ++i) {
     JournalEntry e;
-    e.op = op.name();
+    e.op = name;
     e.phase = phase;
-    e.strategy = strategies[i].to_string();
+    e.strategy = texts[i];
     e.index = static_cast<std::int64_t>(i);
     e.rank = rank[i];
     e.predicted = i < predicted.size() ? predicted[i] : -1.0;
@@ -176,7 +187,7 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
                        obs::Recorder* rec, Journal* journal) const {
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const Ranked r = rank_sweep(op, opts, cfg_);
+  const Ranked r = rank_sweep(op, opts, cfg_, journal != nullptr);
   const double w_sweep = rec ? rec->wall_us() : 0.0;
   const std::size_t best_i = first_min(r.est);
   // The workers freed every program; rebuild the winner here, the way a
@@ -185,7 +196,7 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
   out.candidate = build_candidate(op, r.strategies[best_i], cfg_, opts.opt);
   const double w_rebuild = rec ? rec->wall_us() : 0.0;
   if (journal) {
-    journal_candidates(journal, op, "model", r.strategies, r.est, {},
+    journal_candidates(journal, op, "model", r.texts, r.est, {},
                        ranks_by_score(r.est), best_i);
     journal->add_sweep(r.counts);
   }
@@ -213,7 +224,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   SWATOP_CHECK(k >= 1) << "tune_top_k with k=" << k;
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const Ranked r = rank_sweep(op, opts, cfg_);
+  const Ranked r = rank_sweep(op, opts, cfg_, journal != nullptr);
   const std::size_t n = r.est.size();
 
   // Keep the k best by (estimate, index): the estimates are index-aligned,
@@ -264,7 +275,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
     }
   }
   if (journal) {
-    journal_candidates(journal, op, "top-k", r.strategies, r.est, measured,
+    journal_candidates(journal, op, "top-k", r.texts, r.est, measured,
                        ranks_by_score(r.est), best_i);
     journal->add_sweep(r.counts);
   }
@@ -373,8 +384,10 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
       rank_score[i] = res.all_measured[i] >= 0.0
                           ? res.all_measured[i]
                           : std::numeric_limits<double>::infinity();
-    std::vector<dsl::Strategy> strategies;
-    for (const sched::Candidate& c : cands) strategies.push_back(c.strategy);
+    std::vector<std::string> strategies;
+    strategies.reserve(cands.size());
+    for (const sched::Candidate& c : cands)
+      strategies.push_back(c.strategy.to_string());
     journal_candidates(journal, op, "blackbox", strategies,
                        pd.active ? pd.predicted : std::vector<double>{},
                        res.all_measured, ranks_by_score(rank_score), best_i);

@@ -66,7 +66,8 @@ TEST(ValidateIr, DuplicateAndNonPositiveAlloc) {
 
 TEST(ValidateIr, NonPositiveForExtent) {
   auto prog = ir::make_seq();
-  ir::seq_push(prog, ir::make_for("i", ir::cst(0), ir::make_seq()));
+  ir::seq_push(prog,
+               ir::make_for(ir::VarId("i"), ir::cst(0), ir::make_seq()));
   const auto errors = check::validate_ir(prog, base_cfg);
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(joined(errors).find("<= 0"), std::string::npos) << joined(errors);
@@ -96,10 +97,11 @@ TEST(ValidateIr, WaitErrorMessagesAreExact) {
   // reported; the messages themselves are pinned byte for byte.
   auto body = ir::make_seq();
   ir::seq_push(body, ir::make_dma_wait(ir::add(
-                         ir::cst(3), ir::mod(ir::var("v"), ir::cst(2)))));
+                         ir::cst(3),
+                         ir::mod(ir::var(ir::VarId("v")), ir::cst(2)))));
   ir::seq_push(body, ir::make_dma_wait(ir::cst(ir::kMaxReplySlots)));
   auto prog = ir::make_seq();
-  ir::seq_push(prog, ir::make_for("v", ir::cst(4), body));
+  ir::seq_push(prog, ir::make_for(ir::VarId("v"), ir::cst(4), body));
   const std::vector<std::string> expected = {
       "DmaWait on reply slot 3 ((3 + (v%2))) that no DMA in the program "
       "can issue",
@@ -361,6 +363,36 @@ TEST(FuzzReplay, KnownGoodPairPasses) {
   EXPECT_TRUE(rep.ok()) << (rep.failures.empty()
                                 ? std::string()
                                 : rep.failures.front().detail);
+}
+
+TEST(FuzzReplay, StrategyOutsideTheSpaceFailsClearly) {
+  // A --strategy that parses but is not a member of the space: an
+  // undeclared option ("abc" and an out-of-int-range number used to escape
+  // std::stoi and abort; "3x" used to run as variant 3), an unknown extra
+  // variable, or a missing one. Each is one clear "check" failure.
+  const sim::SimConfig cfg;
+  ops::MatmulOp op(32, 32, 8);
+  const std::string good =
+      tune::ModelTuner(cfg).tune(op).candidate.strategy.serialize();
+  const std::size_t at = good.find("c:variant=");
+  ASSERT_NE(at, std::string::npos) << good;
+  const std::size_t end = good.find(' ', at);
+  auto with_variant = [&](const std::string& v) {
+    return good.substr(0, at) + "c:variant=" + v +
+           (end == std::string::npos ? "" : good.substr(end));
+  };
+  check::FuzzOptions opts;
+  for (const std::string& bad :
+       {with_variant("abc"), with_variant("99999999999"), with_variant("3x"),
+        good + " c:extra=1", good.substr(good.find(' ') + 1)}) {
+    SCOPED_TRACE(bad);
+    const check::FuzzReport rep = check::replay("matmul:32,32,8", bad, opts);
+    ASSERT_EQ(rep.failures.size(), 1u);
+    EXPECT_EQ(rep.failures[0].kind, "check");
+    EXPECT_NE(rep.failures[0].detail.find("not a member"), std::string::npos)
+        << rep.failures[0].detail;
+    EXPECT_EQ(rep.cases_run, 0);
+  }
 }
 
 }  // namespace

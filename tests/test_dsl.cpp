@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "dsl/dsl.hpp"
 
@@ -33,6 +37,88 @@ TEST(ScheduleSpace, EnumerateWithPruning) {
   });
   EXPECT_EQ(pruned.size(), 2u * 2 * 4);
   for (const auto& s : pruned) EXPECT_NE(s.factor("T"), 32);
+}
+
+/// The enumeration the recursive cartesian product used to produce:
+/// factors outermost, the last choice varying fastest.
+std::vector<Strategy> nested_loops(const ScheduleSpace& sp) {
+  std::vector<Strategy> out;
+  Strategy cur;
+  cur.set_epilogue(sp.epilogue());
+  std::function<void(std::size_t)> rec = [&](std::size_t d) {
+    const std::size_t nf = sp.factors().size();
+    if (d == nf + sp.choices().size()) {
+      out.push_back(cur);
+      return;
+    }
+    if (d < nf) {
+      for (std::int64_t v : sp.factors()[d].candidates) {
+        cur.set_factor(sp.factors()[d].name, v);
+        rec(d + 1);
+      }
+    } else {
+      for (const std::string& v : sp.choices()[d - nf].options) {
+        cur.set_choice(sp.choices()[d - nf].name, v);
+        rec(d + 1);
+      }
+    }
+  };
+  rec(0);
+  return out;
+}
+
+TEST(ScheduleSpace, AtMatchesEnumerate) {
+  ScheduleSpace factors_only;
+  factors_only.add(FactorVar{"A", {1, 2, 3}});
+  factors_only.add(FactorVar{"B", {8, 16}});
+  ScheduleSpace choices_only;
+  choices_only.add(ChoiceVar{"x", {"p", "q"}});
+  choices_only.add(ChoiceVar{"y", {"0", "1", "2"}});
+  ScheduleSpace stamped = sample_space();
+  EpilogueSpec epi;
+  epi.bias = true;
+  epi.out_pad = 1;
+  stamped.set_epilogue(epi);
+  for (const ScheduleSpace& sp :
+       {factors_only, choices_only, sample_space(), stamped}) {
+    const std::vector<Strategy> all = sp.enumerate();
+    const std::vector<Strategy> ref = nested_loops(sp);
+    ASSERT_EQ(static_cast<std::int64_t>(all.size()), sp.size());
+    ASSERT_EQ(all.size(), ref.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(sp.at(i), all[i]) << i;
+      EXPECT_EQ(all[i], ref[i]) << i;
+      EXPECT_EQ(sp.at(i).epilogue(), sp.epilogue());
+    }
+    EXPECT_THROW(sp.at(all.size()), CheckError);
+  }
+}
+
+TEST(ScheduleSpace, ContainsExactlyItsAssignments) {
+  ScheduleSpace sp = sample_space();
+  for (const Strategy& s : sp.enumerate()) EXPECT_TRUE(sp.contains(s));
+
+  const Strategy base = sp.at(5);
+  Strategy bad_factor = base;
+  bad_factor.set_factor("T", 48);
+  Strategy bad_choice = base;
+  bad_choice.set_choice("variant", "3x");
+  Strategy extra = base;
+  extra.set_choice("layout", "nhwc");
+  Strategy missing;
+  missing.set_factor("T", 16);
+  missing.set_choice("order", "mnk");
+  Strategy fused = base;
+  EpilogueSpec epi;
+  epi.relu = true;
+  fused.set_epilogue(epi);
+  for (const Strategy& s : {bad_factor, bad_choice, extra, missing, fused})
+    EXPECT_FALSE(sp.contains(s)) << s.serialize();
+
+  // The epilogue must be the space's own, not merely any epilogue.
+  sp.set_epilogue(epi);
+  EXPECT_TRUE(sp.contains(fused));
+  EXPECT_FALSE(sp.contains(base));
 }
 
 TEST(ScheduleSpace, RejectsEmptyVariables) {

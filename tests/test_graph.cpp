@@ -706,6 +706,49 @@ TEST(Engine, NetProfileCarriesTheTuningFunnel) {
   EXPECT_EQ(warm.profile.tune.sweep.enumerated, 0);
 }
 
+TEST(Engine, FusedBottleneckLowersNothingTheOptimizerDrops) {
+  // A ResNet identity bottleneck, every conv fused: 1x1 reduce (bias, relu,
+  // the 3x3's pad), 3x3 (bias, relu), 1x1 expand (bias, residual add,
+  // relu). The lowering rejects the orders that would put partial sums
+  // through an epilogue, so the optimizer drops nothing, and the survivors
+  // are the 720 the optimizer used to keep out of 1440 lowered.
+  Graph g("bottleneck");
+  g.add_input("x", {14, 64});
+  Node reduce = node(NodeKind::Conv, "reduce", {"x"}, "t:reduce");
+  reduce.kernel = 1;
+  reduce.channels_out = 32;
+  g.add(reduce);
+  g.add(node(NodeKind::Bias, "reduce.bias", {"t:reduce"}, "t:reduce.b"));
+  g.add(node(NodeKind::Relu, "reduce.relu", {"t:reduce.b"}, "t:reduce.r"));
+  Node pad = node(NodeKind::Pad, "mid.pad", {"t:reduce.r"}, "t:mid.p");
+  pad.pad = 1;
+  g.add(pad);
+  Node mid = node(NodeKind::Conv, "mid", {"t:mid.p"}, "t:mid");
+  mid.kernel = 3;
+  mid.channels_out = 32;
+  g.add(mid);
+  g.add(node(NodeKind::Bias, "mid.bias", {"t:mid"}, "t:mid.b"));
+  g.add(node(NodeKind::Relu, "mid.relu", {"t:mid.b"}, "t:mid.r"));
+  Node expand = node(NodeKind::Conv, "expand", {"t:mid.r"}, "t:expand");
+  expand.kernel = 1;
+  expand.channels_out = 64;
+  g.add(expand);
+  g.add(node(NodeKind::Bias, "expand.bias", {"t:expand"}, "t:expand.b"));
+  g.add(node(NodeKind::Add, "add", {"t:expand.b", "x"}, "t:sum"));
+  g.add(node(NodeKind::Relu, "out.relu", {"t:sum"}, "out"));
+
+  CompiledNet net = compile(g, SwatopConfig{});  // full sweep, no cap
+  const NetRunResult r = net.run(4, NetOptions{});
+  EXPECT_EQ(r.fusion.convs_fused, 3);
+  EXPECT_TRUE(r.checked);
+  EXPECT_LT(r.max_rel_err, 1e-4);
+  const obs::SweepCounts& sw = net.journal().sweep();
+  EXPECT_EQ(sw.enumerated, 2560);
+  EXPECT_EQ(sw.dropped, 0);
+  EXPECT_EQ(sw.lowered, sw.kept);
+  EXPECT_EQ(sw.kept, 720);
+}
+
 TEST(Engine, WinogradRunsFunctionally) {
   // conv2's 16 input channels satisfy Winograd's ni % 8 == 0; conv1 falls
   // back. The whole-net check still has to pass end to end.

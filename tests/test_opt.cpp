@@ -31,7 +31,7 @@ dsl::Strategy matmul_strategy(std::int64_t tm, std::int64_t tn,
 }
 
 TEST(TiledDim, EvenSplit) {
-  const TiledDim d = make_tiled("i", 128, 32);
+  const TiledDim d = make_tiled(ir::VarId("i"), 128, 32);
   EXPECT_EQ(d.count, 4);
   EXPECT_FALSE(d.ragged);
   EXPECT_TRUE(ir::is_const(d.valid()));
@@ -40,7 +40,7 @@ TEST(TiledDim, EvenSplit) {
 }
 
 TEST(TiledDim, RaggedSplit) {
-  const TiledDim d = make_tiled("i", 100, 32);
+  const TiledDim d = make_tiled(ir::VarId("i"), 100, 32);
   EXPECT_EQ(d.count, 4);
   EXPECT_TRUE(d.ragged);
   EXPECT_EQ(d.remainder(), 4);
@@ -50,14 +50,14 @@ TEST(TiledDim, RaggedSplit) {
 
 TEST(TiledDim, SwitchLegality) {
   // Remainder 64: divisible by 8, 64/8 = 8 divisible by 4 -> legal.
-  EXPECT_TRUE(switch_legal(make_tiled("i", 192, 128), 8, 4));
+  EXPECT_TRUE(switch_legal(make_tiled(ir::VarId("i"), 192, 128), 8, 4));
   // Remainder 4: not divisible by mesh 8.
-  EXPECT_FALSE(switch_legal(make_tiled("i", 100, 32), 8, 1));
+  EXPECT_FALSE(switch_legal(make_tiled(ir::VarId("i"), 100, 32), 8, 1));
   // Remainder 8: 8/8 = 1, not a multiple of 4 when vectorized.
-  EXPECT_FALSE(switch_legal(make_tiled("i", 40, 32), 8, 4));
-  EXPECT_TRUE(switch_legal(make_tiled("i", 40, 32), 8, 1));
+  EXPECT_FALSE(switch_legal(make_tiled(ir::VarId("i"), 40, 32), 8, 4));
+  EXPECT_TRUE(switch_legal(make_tiled(ir::VarId("i"), 40, 32), 8, 1));
   // Even splits are always legal.
-  EXPECT_TRUE(switch_legal(make_tiled("i", 64, 32), 8, 4));
+  EXPECT_TRUE(switch_legal(make_tiled(ir::VarId("i"), 64, 32), 8, 4));
 }
 
 TEST(DmaInference, InjectsAllocsGetsAndPuts) {
@@ -165,7 +165,8 @@ TEST(DoubleBuffer, TransformsInnermostGetLoop) {
 
 TEST(DoubleBuffer, NoGetsNoTransform) {
   auto prog = ir::make_seq({ir::make_for(
-      "i", ir::cst(4), ir::make_seq({ir::make_comment("empty")}))});
+      ir::VarId("i"), ir::cst(4),
+      ir::make_seq({ir::make_comment("empty")}))});
   EXPECT_FALSE(apply_double_buffer(prog));
 }
 
@@ -173,7 +174,8 @@ TEST(Coalesce, MovesAllocsToTopAndSumsFootprint) {
   auto inner = ir::make_seq({ir::make_spm_alloc("b1", 100),
                              ir::make_comment("x")});
   auto prog = ir::make_seq(
-      {ir::make_for("i", ir::cst(2), inner), ir::make_spm_alloc("b2", 50)});
+      {ir::make_for(ir::VarId("i"), ir::cst(2), inner),
+       ir::make_spm_alloc("b2", 50)});
   const auto total = coalesce_spm(prog);
   EXPECT_EQ(total, ir::spm_footprint(prog));
   EXPECT_EQ(prog->body[0]->kind, ir::StmtKind::SpmAlloc);
@@ -227,21 +229,23 @@ namespace {
 TEST(Simplify, RemovesUnitLoopsAndSubstitutes) {
   // for i in [0,1): for j in [0,4): zero(buf + i*100 + j)
   auto inner = ir::make_seq({ir::make_spm_zero(
-      "b", ir::add(ir::mul(ir::var("i"), ir::cst(100)), ir::var("j")),
+      "b",
+      ir::add(ir::mul(ir::var(ir::VarId("i")), ir::cst(100)),
+              ir::var(ir::VarId("j"))),
       ir::cst(8))});
-  auto j = ir::make_for("j", ir::cst(4), inner);
-  auto i = ir::make_for("i", ir::cst(1), ir::make_seq({j}));
+  auto j = ir::make_for(ir::VarId("j"), ir::cst(4), inner);
+  auto i = ir::make_for(ir::VarId("i"), ir::cst(1), ir::make_seq({j}));
   auto root = ir::make_seq({ir::make_spm_alloc("b", 64), i});
   eliminate_unit_loops(root);
   // The i loop is gone; j remains; the offset folded i = 0.
   const auto vars = ir::loop_vars(root);
   ASSERT_EQ(vars.size(), 1u);
-  EXPECT_EQ(vars[0], "j");
+  EXPECT_EQ(vars[0].name(), "j");
   bool found = false;
   ir::visit(root, [&](const ir::StmtPtr& n) {
     if (n->kind == ir::StmtKind::SpmZero) {
       found = true;
-      EXPECT_FALSE(ir::uses_var(n->zero_off, "i"));
+      EXPECT_FALSE(ir::uses_var(n->zero_off, ir::VarId("i")));
       EXPECT_EQ(ir::eval(n->zero_off, {{"j", 3}}), 3);
     }
   });
@@ -250,7 +254,7 @@ TEST(Simplify, RemovesUnitLoopsAndSubstitutes) {
 
 TEST(Simplify, FlattensNestedSeqs) {
   auto root = ir::make_seq(
-      {ir::make_for("u", ir::cst(1),
+      {ir::make_for(ir::VarId("u"), ir::cst(1),
                     ir::make_seq({ir::make_comment("a"),
                                   ir::make_comment("b")})),
        ir::make_comment("c")});
@@ -263,7 +267,7 @@ TEST(Simplify, FlattensNestedSeqs) {
 
 TEST(Simplify, KeepsMultiIterationLoops) {
   auto root = ir::make_seq({ir::make_for(
-      "i", ir::cst(2), ir::make_seq({ir::make_comment("x")}))});
+      ir::VarId("i"), ir::cst(2), ir::make_seq({ir::make_comment("x")}))});
   eliminate_unit_loops(root);
   EXPECT_EQ(ir::loop_vars(root).size(), 1u);
 }

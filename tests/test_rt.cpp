@@ -27,7 +27,7 @@ dsl::Strategy strat(std::int64_t tm, std::int64_t tn, std::int64_t tk,
 
 TEST(DmaExpand, GeometryEvaluation) {
   ir::DmaAttrs d;
-  d.view = {"A", ir::var("i"), 1, 100, ir::cst(40), ir::cst(16)};
+  d.view = {"A", ir::var(ir::VarId("i")), 1, 100, ir::cst(40), ir::cst(16)};
   d.rows_p = ir::cst(64);
   d.cols_p = ir::cst(16);
   const DmaGeometry g = evaluate_dma(d, {{"i", 7}}, 1000, cfg);
@@ -172,7 +172,7 @@ ir::Expr random_expr(ops::Prng& rng, int depth) {
   };
   if (depth == 0 || pick(4) == 0) {
     if (pick(2) == 0) return ir::cst(pick(100) - 50);
-    return ir::var(std::string(1, static_cast<char>('a' + pick(4))));
+    return ir::var(ir::VarId(std::string(1, static_cast<char>('a' + pick(4)))));
   }
   const ir::Expr a = random_expr(rng, depth - 1);
   const ir::Expr b = random_expr(rng, depth - 1);
@@ -194,8 +194,8 @@ ir::Expr random_expr(ops::Prng& rng, int depth) {
 TEST(ExprEvaluator, FuzzAgainstTreeWalker) {
   ops::Prng rng(2024);
   ExprEvaluator ev;
-  const int sa = ev.slot_of("a"), sb = ev.slot_of("b"),
-            sc = ev.slot_of("c"), sd = ev.slot_of("d");
+  const int sa = ev.slot_of(ir::VarId("a")), sb = ev.slot_of(ir::VarId("b"));
+  const int sc = ev.slot_of(ir::VarId("c")), sd = ev.slot_of(ir::VarId("d"));
   for (int trial = 0; trial < 200; ++trial) {
     const ir::Expr e = random_expr(rng, 4);
     for (int vals = 0; vals < 5; ++vals) {
@@ -215,8 +215,8 @@ TEST(ExprEvaluator, FuzzAgainstTreeWalker) {
 
 TEST(ExprEvaluator, ReusesSlotsAcrossNames) {
   ExprEvaluator ev;
-  EXPECT_EQ(ev.slot_of("x"), ev.slot_of("x"));
-  EXPECT_NE(ev.slot_of("x"), ev.slot_of("y"));
+  EXPECT_EQ(ev.slot_of(ir::VarId("x")), ev.slot_of(ir::VarId("x")));
+  EXPECT_NE(ev.slot_of(ir::VarId("x")), ev.slot_of(ir::VarId("y")));
 }
 
 }  // namespace

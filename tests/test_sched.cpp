@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,34 +17,34 @@ namespace {
 sim::SimConfig cfg;
 
 TEST(Lower, BuildNestOrdersLoops) {
-  std::vector<LoopSpec> loops = {{"a", ir::cst(2), false},
-                                 {"b", ir::cst(3), true}};
+  std::vector<LoopSpec> loops = {{ir::VarId("a"), ir::cst(2), false},
+                                 {ir::VarId("b"), ir::cst(3), true}};
   auto prog = build_nest(loops, ir::make_comment("body"));
   ASSERT_EQ(prog->kind, ir::StmtKind::Seq);
   const auto& outer = prog->body[0];
-  EXPECT_EQ(outer->var, "a");
+  EXPECT_EQ(outer->var.name(), "a");
   EXPECT_FALSE(outer->reduction);
   const auto& inner = outer->for_body->body[0];
-  EXPECT_EQ(inner->var, "b");
+  EXPECT_EQ(inner->var.name(), "b");
   EXPECT_TRUE(inner->reduction);
 }
 
 TEST(Lower, OrderLoopsPermutes) {
   const std::vector<std::pair<char, LoopSpec>> dims = {
-      {'m', {"m", ir::cst(1), false}},
-      {'n', {"n", ir::cst(1), false}},
-      {'k', {"k", ir::cst(1), true}},
+      {'m', {ir::VarId("m"), ir::cst(1), false}},
+      {'n', {ir::VarId("n"), ir::cst(1), false}},
+      {'k', {ir::VarId("k"), ir::cst(1), true}},
   };
   const auto out = order_loops("knm", dims);
-  EXPECT_EQ(out[0].var, "k");
-  EXPECT_EQ(out[1].var, "n");
-  EXPECT_EQ(out[2].var, "m");
+  EXPECT_EQ(out[0].var.name(), "k");
+  EXPECT_EQ(out[1].var.name(), "n");
+  EXPECT_EQ(out[2].var.name(), "m");
 }
 
 TEST(Lower, OrderLoopsRejectsBadStrings) {
   const std::vector<std::pair<char, LoopSpec>> dims = {
-      {'m', {"m", ir::cst(1), false}},
-      {'n', {"n", ir::cst(1), false}},
+      {'m', {ir::VarId("m"), ir::cst(1), false}},
+      {'n', {ir::VarId("n"), ir::cst(1), false}},
   };
   EXPECT_THROW(order_loops("mx", dims), CheckError);
   EXPECT_THROW(order_loops("m", dims), CheckError);
@@ -113,8 +114,8 @@ TEST(Sweep, CountsTheFunnel) {
   const Scheduler sched(cfg);
   const std::vector<dsl::Strategy> all = op.space().enumerate();
   for (int n : {1, 4}) {
-    const obs::SweepCounts c = sched.sweep(op, all, threads(n), [] {
-      return [](std::size_t, ir::StmtPtr&, bool) {};
+    const obs::SweepCounts c = sched.sweep(op, threads(n), [] {
+      return [](std::size_t, dsl::Strategy&, ir::StmtPtr&, bool) {};
     });
     EXPECT_EQ(c.enumerated, static_cast<std::int64_t>(all.size()));
     EXPECT_GT(c.lowered, 0);
@@ -131,11 +132,35 @@ TEST(Sweep, ReleasesProgramsTheVisitorDoesNotTake) {
   ops::MatmulOp op(72, 56, 40);
   const std::vector<dsl::Strategy> all = op.space().enumerate();
   std::vector<std::weak_ptr<ir::Stmt>> seen(all.size());
-  const obs::SweepCounts c = Scheduler(cfg).sweep(op, all, threads(4), [&] {
-    return [&](std::size_t i, ir::StmtPtr& prog, bool) { seen[i] = prog; };
+  const obs::SweepCounts c = Scheduler(cfg).sweep(op, threads(4), [&] {
+    return [&](std::size_t i, dsl::Strategy&, ir::StmtPtr& prog, bool) {
+      seen[i] = prog;
+    };
   });
   EXPECT_GT(c.kept, 0);
   for (const auto& w : seen) EXPECT_TRUE(w.expired());
+}
+
+TEST(Sweep, HandsEachSurvivorItsDecodedStrategy) {
+  // Workers decode the strategies themselves: the visitor at index i sees
+  // the space's i-th assignment, at any thread count.
+  ops::MatmulOp op(72, 56, 40);
+  const std::vector<dsl::Strategy> all = op.space().enumerate();
+  for (int n : {1, 4}) {
+    std::vector<std::optional<dsl::Strategy>> seen(all.size());
+    const obs::SweepCounts c = Scheduler(cfg).sweep(op, threads(n), [&] {
+      return [&](std::size_t i, dsl::Strategy& s, ir::StmtPtr&, bool) {
+        seen[i] = std::move(s);
+      };
+    });
+    std::int64_t visited = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (!seen[i]) continue;
+      ++visited;
+      EXPECT_EQ(*seen[i], all[i]) << i;
+    }
+    EXPECT_EQ(visited, c.kept);
+  }
 }
 
 /// A matmul whose lowered programs wait on a reply slot no DMA issues: the

@@ -259,8 +259,8 @@ ops::ConvShape stream_shape() {
   return s;
 }
 
-/// A fused implicit conv (bias+relu: its rcuvio/rouvci orders are pruned by
-/// DMA inference), an explicit conv, winograd and a ragged matmul.
+/// A fused implicit conv (bias+relu: its lowering rejects the rcuvio/rouvci
+/// orders), an explicit conv, winograd and a ragged matmul.
 std::vector<std::unique_ptr<dsl::OperatorDef>> stream_ops() {
   dsl::EpilogueSpec epi;
   epi.bias = true;
@@ -304,16 +304,25 @@ TEST(StreamedTuner, MatchesMaterializedReference) {
 }
 
 TEST(StreamedTuner, FusedConvPrunesReductionOutsideOrders) {
+  // A reduction loop outside C's scope would store partial sums through
+  // the fused epilogue. The lowering rejects those orders before building
+  // anything, so nothing the sweep lowers is dropped by the optimizer.
   const auto all = stream_ops();
   const dsl::OperatorDef& fused = *all.front();
   std::int64_t reduction_outside = 0;
-  for (const dsl::Strategy& s : fused.space().enumerate())
-    if (s.choice("order") == "rcuvio" || s.choice("order") == "rouvci")
+  for (const dsl::Strategy& s : fused.space().enumerate()) {
+    if (s.choice("order") == "rcuvio" || s.choice("order") == "rouvci") {
       ++reduction_outside;
+      EXPECT_EQ(fused.lower(s), nullptr) << s.to_string();
+    }
+  }
   ASSERT_GT(reduction_outside, 0);
   Journal j;
   (void)ModelTuner(cfg).tune(fused, threads(2), nullptr, &j);
-  EXPECT_GT(j.sweep().dropped, 0);
+  const obs::SweepCounts& sw = j.sweep();
+  EXPECT_EQ(sw.dropped, 0);
+  EXPECT_EQ(sw.lowered, sw.kept);
+  EXPECT_GE(sw.enumerated - sw.lowered, reduction_outside);
   for (const JournalEntry& e : j.entries()) {
     EXPECT_EQ(e.strategy.find("rcuvio"), std::string::npos) << e.strategy;
     EXPECT_EQ(e.strategy.find("rouvci"), std::string::npos) << e.strategy;

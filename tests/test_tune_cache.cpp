@@ -7,10 +7,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/swatop.hpp"
+#include "graph/compile.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
@@ -522,6 +525,56 @@ TEST(OptimizerCache, ObservabilityCountsHitsMissesStores) {
   // The report mentions the cache traffic.
   EXPECT_NE(warm_run.profile.report().find("schedule cache"),
             std::string::npos);
+}
+
+TEST(OptimizerCache, NonMemberBankedStrategyIsAMissAndRetunes) {
+  // A cache file is outside the program. A banked variant edited to an
+  // option the space does not declare is a corrupt entry: the warm compile
+  // counts a miss and re-tunes to the cold pick. Before, "abc" and
+  // "99999999999" escaped std::stoi past the CheckError handler, and "3x"
+  // parsed as 3 and was served as a hit.
+  const std::string path = tune::temp_cache_path("non_member");
+  ops::ConvShape s;
+  s.batch = 4;
+  s.ni = 32;
+  s.no = 32;
+  s.ri = 8;
+  s.ci = 8;
+  const ops::ImplicitConvOp op(s);
+  SwatopConfig cfg;
+  cfg.cache.enabled = true;
+  cfg.cache.path = path;
+  cfg.observability.enabled = true;
+  CompiledOp cold = compile(op, cfg);
+  const double cold_cycles = cold.run(sim::ExecMode::TimingOnly).cycles;
+  std::string banked;
+  {
+    std::ifstream in(path);
+    banked.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  const std::size_t at = banked.find("c:variant=");
+  ASSERT_NE(at, std::string::npos) << banked;
+  const std::size_t end = banked.find_first_of(" \n", at);
+  ASSERT_NE(end, std::string::npos);
+  for (const char* bad : {"abc", "99999999999", "3x"}) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << banked.substr(0, at) << "c:variant=" << bad
+          << banked.substr(end);
+    }
+    CompiledOp warm = compile(op, cfg);
+    const rt::RunResult r = warm.run(sim::ExecMode::TimingOnly);
+    EXPECT_FALSE(warm.handle().from_cache);
+    EXPECT_EQ(warm.handle().candidate.strategy,
+              cold.handle().candidate.strategy);
+    EXPECT_EQ(r.cycles, cold_cycles);
+    EXPECT_EQ(r.profile.tune.cache_hits, 0);
+    EXPECT_EQ(r.profile.tune.cache_misses, 1);
+    EXPECT_GT(warm.handle().stats.valid_candidates, 1);  // really searched
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(OptimizerCache, CorruptBankedStrategyFallsBackToTuning) {
