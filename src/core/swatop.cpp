@@ -21,48 +21,22 @@ rt::RunResult OptimizedOperator::run(sim::CoreGroup& cg,
 Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
   if (cfg_.cache.enabled)
     cache_ = std::make_shared<tune::ScheduleCache>(cfg_.cache);
-  if (cfg_.replay.enabled)
-    replay_ = std::make_shared<tune::ReplayExecutor>(cfg_.replay);
-  if (cfg_.pruner.enabled)
-    pruner_ = std::make_shared<tune::RankingPruner>(cfg_.pruner);
 }
 
 OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
                                       obs::Recorder* rec) const {
   OptimizedOperator out;
   tune::ModelTuner tuner(cfg_.machine);
-  if (replay_) tuner.set_replay(replay_.get());
-  if (pruner_) tuner.set_pruner(pruner_.get());
   const sched::SchedulerOptions sopts = cfg_.scheduler_options();
 
-  // One candidate measurement, through the shared trace-replay executor
-  // when enabled (bit-identical cycles either way); every measurement also
-  // trains the ranking pruner.
-  auto measure = [&](const sched::Candidate& c) {
-    const double cycles =
-        replay_ ? replay_->measure(op, c, cfg_.machine)
-                : tune::measure_candidate(op, c, cfg_.machine);
-    if (pruner_) pruner_->observe(c.strategy, cycles);
-    return cycles;
-  };
-  const tune::ReplayStats replay0 =
-      replay_ ? replay_->stats() : tune::ReplayStats{};
   // Both the cache-hit and the fresh-tuning path end here: generate the
-  // kernel's C source and surface the executor's fast-path traffic for
-  // this call into the recorder's tuning counters.
+  // kernel's C source.
   auto finish = [&] {
     codegen::EmitOptions eopts;
     eopts.kernel_name = "swatop_" + op.name();
     for (char& c : eopts.kernel_name)
       if (!isalnum(static_cast<unsigned char>(c))) c = '_';
     out.c_source = codegen::emit_c(out.candidate.program, eopts);
-    if (!replay_ || rec == nullptr) return;
-    const tune::ReplayStats r = replay_->stats();
-    rec->tune().replay_hits += r.hits - replay0.hits;
-    rec->tune().replay_misses += r.misses - replay0.misses;
-    rec->tune().replay_fallbacks += r.fallbacks - replay0.fallbacks;
-    rec->tune().replay_oracle_checks +=
-        r.oracle_checks - replay0.oracle_checks;
   };
 
   // Cache fast path: a banked winner is rebuilt directly (one lower +
@@ -87,7 +61,8 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
         out.predicted_cycles = entry->predicted_cycles;
         out.measured_cycles = entry->measured_cycles;
         if (cfg_.measure_best && out.measured_cycles == 0.0)
-          out.measured_cycles = measure(out.candidate);
+          out.measured_cycles =
+              tune::measure_candidate(op, out.candidate, cfg_.machine);
         out.from_cache = true;
         out.stats.space_size = op.space().size();
         out.stats.valid_candidates = 1;
@@ -138,7 +113,8 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op,
     out.stats = tuned.stats;
     out.candidate = std::move(tuned.candidate);
     if (cfg_.measure_best) {
-      out.measured_cycles = measure(out.candidate);
+      out.measured_cycles =
+          tune::measure_candidate(op, out.candidate, cfg_.machine);
       // Record the pick's model-vs-simulator sample (the "model" rows
       // above carry no measurement by construction).
       if (cfg_.journal) {

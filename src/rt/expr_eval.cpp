@@ -48,22 +48,44 @@ void ExprEvaluator::emit(const ir::Expr& e, Code& out) {
   }
 }
 
-const ExprEvaluator::Code& ExprEvaluator::compile(const ir::Expr& e) {
+const ExprEvaluator::Entry& ExprEvaluator::compile(const ir::Expr& e) {
   auto it = cache_.find(e.get());
-  if (it != cache_.end()) return it->second.code;
-  Code code;
-  emit(e, code);
-  return cache_.emplace(e.get(), Entry{e, std::move(code)})
-      .first->second.code;
+  if (it != cache_.end()) return it->second;
+  Entry entry{e, {}, 0};
+  emit(e, entry.code);
+  // Replay the program's stack effect once: the peak is the stack eval()
+  // needs, and a well-formed program never underflows and leaves one value.
+  std::size_t top = 0;
+  for (const Step& s : entry.code) {
+    switch (s.op) {
+      case Op::PushConst:
+      case Op::PushVar: ++top; break;
+      case Op::Select:
+        SWATOP_CHECK(top >= 3) << "malformed compiled expression";
+        top -= 2;
+        break;
+      default:
+        SWATOP_CHECK(top >= 2) << "malformed compiled expression";
+        --top;
+        break;
+    }
+    entry.depth = std::max(entry.depth, top);
+  }
+  SWATOP_CHECK(top == 1) << "malformed compiled expression";
+  if (entry.depth > kInlineDepth && entry.depth > deep_stack_.size())
+    deep_stack_.resize(entry.depth);
+  return cache_.emplace(e.get(), std::move(entry)).first->second;
 }
 
 std::int64_t ExprEvaluator::eval(const ir::Expr& e) {
   // Fast paths for the two most common shapes.
   if (e->kind == ir::ExprKind::Const) return e->value;
-  const Code& code = compile(e);
-  std::int64_t stack[32];
+  const Entry& prog = compile(e);
+  std::int64_t inline_stack[kInlineDepth];
+  std::int64_t* const stack =
+      prog.depth <= kInlineDepth ? inline_stack : deep_stack_.data();
   int top = -1;
-  for (const Step& s : code) {
+  for (const Step& s : prog.code) {
     switch (s.op) {
       case Op::PushConst:
         stack[++top] = s.payload;
@@ -114,9 +136,7 @@ std::int64_t ExprEvaluator::eval(const ir::Expr& e) {
         stack[top] = stack[top] != 0 ? stack[top + 1] : stack[top + 2];
         break;
     }
-    SWATOP_CHECK(top >= 0 && top < 32) << "expression stack out of range";
   }
-  SWATOP_CHECK(top == 0) << "malformed compiled expression";
   return stack[0];
 }
 

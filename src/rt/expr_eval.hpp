@@ -5,7 +5,8 @@
 // millions of times. This evaluator compiles each expression once (on first
 // use, cached by node pointer) into a postfix program and keeps variable
 // values in a flat vector indexed by the variable's interned id, the same
-// slot ir::Env uses.
+// slot ir::Env uses. compile() also records each program's maximum operand
+// depth, so eval() never indexes past the stack it runs on.
 #pragma once
 
 #include <cstdint>
@@ -50,17 +51,24 @@ class ExprEvaluator {
   };
   using Code = std::vector<Step>;
 
-  const Code& compile(const ir::Expr& e);
-  void emit(const ir::Expr& e, Code& out);
-
   // The cache is keyed by node address; each entry pins the expression so
   // the allocator can never hand the same address to a different tree.
   struct Entry {
     ir::Expr pin;
     Code code;
+    std::size_t depth = 0;  ///< most operands live at once
   };
+
+  /// Programs at most this deep run on a stack local to eval(); deeper
+  /// ones (long right-nested chains) on deep_stack_.
+  static constexpr std::size_t kInlineDepth = 32;
+
+  const Entry& compile(const ir::Expr& e);
+  void emit(const ir::Expr& e, Code& out);
+
   std::unordered_map<const ir::ExprNode*, Entry> cache_;
   std::vector<std::int64_t> values_;
+  std::vector<std::int64_t> deep_stack_;  ///< sized to the deepest program
 };
 
 }  // namespace swatop::rt

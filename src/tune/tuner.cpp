@@ -11,8 +11,6 @@
 #include "common/check.hpp"
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
-#include "tune/pruner.hpp"
-#include "tune/replay.hpp"
 
 namespace swatop::tune {
 
@@ -242,10 +240,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
     tune_phase_span(rec, "sweep (lower+optimize+rank)", w0, w_sweep,
                     r.counts.kept);
 
-  // Rebuild and measure the shortlist, keeping the measured winner. With a
-  // replay executor attached, repeat measurements of a structurally
-  // identical candidate replay the recorded event schedule (bit-identical
-  // cycles) instead of re-interpreting.
+  // Rebuild and measure the shortlist, keeping the measured winner.
   sim::CoreGroup cg(cfg_);
   cg.mem().set_materialize(false);
   const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
@@ -259,10 +254,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
     const double wm0 = rec ? rec->wall_us() : 0.0;
     sched::Candidate cand =
         build_candidate(op, r.strategies[i], cfg_, opts.opt);
-    const double t = replay_ != nullptr
-                         ? replay_->measure(op, cand, cfg_)
-                         : interp.run(cand.program, bt).cycles;
-    if (pruner_ != nullptr) pruner_->observe(cand.strategy, t);
+    const double t = interp.run(cand.program, bt).cycles;
     measured[i] = t;
     if (rec) {
       tune_phase_span(rec, "measure candidate", wm0, rec->wall_us());
@@ -308,32 +300,17 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
     tune_phase_span(rec, "enumerate+lower", w0, w_enum,
                     static_cast<std::int64_t>(cands.size()));
 
-  // Rank-prune the measured set when a trained pruner is attached. Until
-  // the pruner has enough training samples the decision is inactive and
-  // every candidate is measured (so the default argmin is unchanged);
-  // pruned candidates journal their model-predicted cycles with
-  // measured = -1, and the journal's regret curve records what the cut
-  // cost.
-  const PruneDecision pd =
-      pruner_ != nullptr ? pruner_->prune(cands) : PruneDecision{};
-  std::vector<std::size_t> to_measure;
-  to_measure.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (!pd.active || pd.keep[i] != 0) to_measure.push_back(i);
-
   // Candidates are measured independently; fan out across hardware
   // threads, one scratch core group per thread. (The machine under test is
   // simulated, so concurrent measurements do not perturb each other --
   // unlike the real black-box tuner this stands in for.) Workers touch
   // only their own all_measured slots; observability is emitted after the
-  // join (see the header's aggregation note). With a replay executor
-  // attached, measurements go through its trace cache (thread-safe) and
-  // stay bit-identical to the interpreter.
+  // join (see the header's aggregation note).
   Result res;
-  res.all_measured.assign(cands.size(), -1.0);
+  res.all_measured.resize(cands.size());
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t nthreads = std::max<std::size_t>(
-      1, std::min<std::size_t>(hw ? hw : 1, to_measure.size()));
+      1, std::min<std::size_t>(hw ? hw : 1, cands.size()));
   std::vector<std::thread> workers;
   std::atomic<std::size_t> next{0};
   for (std::size_t w = 0; w < nthreads; ++w) {
@@ -342,68 +319,42 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
       cg.mem().set_materialize(false);
       const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
       rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-      for (std::size_t k = next.fetch_add(1); k < to_measure.size();
-           k = next.fetch_add(1)) {
-        const std::size_t i = to_measure[k];
-        res.all_measured[i] =
-            replay_ != nullptr
-                ? replay_->measure(op, cands[i], cfg_)
-                : interp.run(cands[i].program, bt).cycles;
-      }
+      for (std::size_t i = next.fetch_add(1); i < cands.size();
+           i = next.fetch_add(1))
+        res.all_measured[i] = interp.run(cands[i].program, bt).cycles;
     });
   }
   for (std::thread& t : workers) t.join();
   if (rec)
     tune_phase_span(rec, "measure (parallel)", w_enum, rec->wall_us(),
-                    static_cast<std::int64_t>(to_measure.size()));
+                    static_cast<std::int64_t>(cands.size()));
 
-  // Every measurement taken trains the pruner for the next operator
-  // (calling thread, index order: deterministic at any thread count).
-  if (pruner_ != nullptr)
-    for (const std::size_t i : to_measure)
-      pruner_->observe(cands[i].strategy, res.all_measured[i]);
-
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_i = 0;
-  for (const std::size_t i : to_measure) {
-    if (res.all_measured[i] < best) {
-      best = res.all_measured[i];
-      best_i = i;
-    }
-  }
+  const std::size_t best_i = first_min(res.all_measured);
+  const double best = res.all_measured[best_i];
   if (rec) {
     for (std::size_t i = 0; i < cands.size(); ++i)
       rec->record_tune_sample(
-          {cands[i].strategy.to_string(),
-           pd.active ? pd.predicted[i] : -1.0, res.all_measured[i]});
+          {cands[i].strategy.to_string(), -1.0, res.all_measured[i]});
   }
   if (journal) {
-    // Rank by measured cycles; pruned candidates sort last.
-    std::vector<double> rank_score(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i)
-      rank_score[i] = res.all_measured[i] >= 0.0
-                          ? res.all_measured[i]
-                          : std::numeric_limits<double>::infinity();
+    // Rank by measured cycles.
     std::vector<std::string> strategies;
     strategies.reserve(cands.size());
     for (const sched::Candidate& c : cands)
       strategies.push_back(c.strategy.to_string());
-    journal_candidates(journal, op, "blackbox", strategies,
-                       pd.active ? pd.predicted : std::vector<double>{},
-                       res.all_measured, ranks_by_score(rank_score), best_i);
+    journal_candidates(journal, op, "blackbox", strategies, {},
+                       res.all_measured, ranks_by_score(res.all_measured),
+                       best_i);
   }
   res.best.candidate = std::move(cands[best_i]);
   res.best.cycles = best;
   res.best.stats.space_size = sched.space_size(op);
   res.best.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
-  res.best.stats.pruned =
-      static_cast<std::int64_t>(cands.size() - to_measure.size());
   res.best.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += res.best.stats.space_size;
     rec->tune().candidates_measured +=
-        static_cast<std::int64_t>(to_measure.size());
-    rec->tune().candidates_pruned += res.best.stats.pruned;
+        static_cast<std::int64_t>(cands.size());
     rec->tune().seconds += res.best.stats.seconds;
   }
   return res;

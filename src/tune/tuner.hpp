@@ -21,14 +21,10 @@
 
 namespace swatop::tune {
 
-class ReplayExecutor;  // tune/replay.hpp
-class RankingPruner;   // tune/pruner.hpp
-
 struct TunerStats {
   std::int64_t space_size = 0;        ///< raw schedule-space size
   std::int64_t valid_candidates = 0;  ///< survivors of validity pruning
-  std::int64_t pruned = 0;  ///< cut by the ranking pruner (never measured)
-  double seconds = 0.0;     ///< wall-clock tuning time
+  double seconds = 0.0;               ///< wall-clock tuning time
 };
 
 struct Tuned {
@@ -90,20 +86,8 @@ class ModelTuner {
                    obs::Recorder* rec = nullptr,
                    Journal* journal = nullptr) const;
 
-  /// Route top-k shortlist measurements through a trace-replay executor
-  /// (non-owning; null reverts to the loop-by-loop interpreter). Cycle
-  /// results are bit-identical either way -- see tune/replay.hpp.
-  void set_replay(ReplayExecutor* r) { replay_ = r; }
-
-  /// Feed every top-k measurement into a ranking pruner as a training
-  /// sample (non-owning; the model tuner never prunes -- the static model
-  /// already shortlists).
-  void set_pruner(RankingPruner* p) { pruner_ = p; }
-
  private:
   sim::SimConfig cfg_;
-  ReplayExecutor* replay_ = nullptr;
-  RankingPruner* pruner_ = nullptr;
 };
 
 class BlackBoxTuner {
@@ -112,8 +96,7 @@ class BlackBoxTuner {
 
   struct Result {
     Tuned best;
-    /// Per candidate, scheduler order; -1 marks a candidate the ranking
-    /// pruner cut (never measured -- only possible with set_pruner).
+    /// Measured cycles per candidate, scheduler order.
     std::vector<double> all_measured;
   };
   /// When `rec` is given, black-box tuning is traced like ModelTuner's
@@ -127,20 +110,8 @@ class BlackBoxTuner {
               const sched::SchedulerOptions& opts = {},
               obs::Recorder* rec = nullptr, Journal* journal = nullptr) const;
 
-  /// Route candidate measurements through a trace-replay executor
-  /// (non-owning; null reverts to the loop-by-loop interpreter).
-  void set_replay(ReplayExecutor* r) { replay_ = r; }
-
-  /// Cut the measured set with a journal-trained ranking pruner
-  /// (non-owning; null measures everything). Pruned candidates report
-  /// measured = -1 in `all_measured` and in the journal; every measurement
-  /// taken is fed back into the pruner as a training sample.
-  void set_pruner(RankingPruner* p) { pruner_ = p; }
-
  private:
   sim::SimConfig cfg_;
-  ReplayExecutor* replay_ = nullptr;
-  RankingPruner* pruner_ = nullptr;
 };
 
 /// Emit one tuner-phase span on the wall-clock track (pid 1); shared by the

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
@@ -211,6 +214,30 @@ TEST(ExprEvaluator, FuzzAgainstTreeWalker) {
       EXPECT_EQ(ev.eval(e), ir::eval(e, env)) << ir::to_string(e);
     }
   }
+}
+
+TEST(ExprEvaluator, DeepRightNestedExpressionsMatchTreeWalker) {
+  // x0 + (x1 + (... + x39)) keeps every operand on the postfix stack before
+  // the first add: 40 slots deep. The same holds for a min2 chain.
+  constexpr int kDepth = 40;
+  ExprEvaluator ev;
+  ir::Env env;
+  std::vector<ir::Expr> vars;
+  for (int i = 0; i < kDepth; ++i) {
+    const ir::VarId v("deep" + std::to_string(i));
+    const std::int64_t value = (i * 37) % 23 - 11;
+    ev.set(ev.slot_of(v), value);
+    env.set(v, value);
+    vars.push_back(ir::var(v));
+  }
+  ir::Expr sum = vars.back();
+  ir::Expr least = vars.back();
+  for (int i = kDepth - 2; i >= 0; --i) {
+    sum = ir::add(vars[static_cast<std::size_t>(i)], sum);
+    least = ir::min2(vars[static_cast<std::size_t>(i)], least);
+  }
+  EXPECT_EQ(ev.eval(sum), ir::eval(sum, env));
+  EXPECT_EQ(ev.eval(least), ir::eval(least, env));
 }
 
 TEST(ExprEvaluator, ReusesSlotsAcrossNames) {

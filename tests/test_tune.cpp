@@ -113,6 +113,17 @@ TEST(BlackBoxTuner, MeasuresEveryCandidate) {
   for (double t : res.all_measured) EXPECT_GE(t, res.best.cycles);
 }
 
+TEST(BlackBoxTuner, DefaultConfigurationIsUnpruned) {
+  // The default tuner measures every valid candidate: none is skipped, and
+  // every measurement is a real, non-negative cycle count.
+  ops::MatmulOp op(64, 64, 32);
+  const BlackBoxTuner tuner(cfg);
+  const auto res = tuner.tune(op);
+  EXPECT_EQ(static_cast<std::int64_t>(res.all_measured.size()),
+            res.best.stats.valid_candidates);
+  for (double v : res.all_measured) EXPECT_GE(v, 0.0);
+}
+
 TEST(Tuners, ModelLossIsBounded) {
   // The paper's Fig. 9 claim at small scale: the model-picked candidate is
   // within a modest factor of the brute-force best.
