@@ -1,9 +1,11 @@
 // End-to-end network benchmark on the graph engine: VGG16 / ResNet / YOLO
 // compiled through swatop::compile() (epilogue fusion + inter-layer SPM
-// residency on by default) and executed whole (timing mode) with the batch
-// split across the 4 core groups. Prints a table and writes two JSON series
-// via the shared bench_util emitter:
-//   BENCH_net_e2e.json            -- the fused defaults CI tracks,
+// residency on by default) and executed whole (timing mode) with each
+// layer's output rows split across the 4 core groups. Prints a table and
+// writes two JSON series via the shared bench_util emitter:
+//   BENCH_net_e2e.json            -- the fused defaults CI tracks: one case
+//     per net, plus one per (net, conv layer) with its cycles and halo
+//     bytes, so a regression names its layer,
 //   BENCH_net_fusion_ablation.json -- the same nets with fusion and
 //     residency forced off, plus the fused-over-unfused speedup, so the
 //     bench-regression gate catches both a fused regression and a silent
@@ -65,8 +67,22 @@ int main() {
             {"convs_fused", static_cast<double>(r.fusion.convs_fused)},
             {"resident_tensors", static_cast<double>(r.resident_tensors)},
             {"dma_bytes_elided", static_cast<double>(r.dma_bytes_elided)},
+            {"halo_bytes", static_cast<double>(r.halo_bytes)},
             {"tune_seconds", r.tune_seconds}},
            r.cycles);
+    for (const graph::LayerReport& lr : r.layers) {
+      if (!lr.conv) continue;
+      bj.add(std::string(net) + "/" + lr.name,
+             {{"net", net},
+              {"layer", lr.name},
+              {"method", lr.kind},
+              {"batch", std::to_string(batch)},
+              {"groups", "4"}},
+             {{"gflops", lr.gflops},
+              {"halo_bytes", static_cast<double>(lr.halo_bytes)},
+              {"dma_bytes", static_cast<double>(lr.stats.dma_bytes_requested)}},
+             lr.cycles);
+    }
 
     // Ablation: the same network with the epilogue fusion pass and the SPM
     // residency pass disabled (run_network's --no-fusion/--no-residency).

@@ -34,8 +34,8 @@ serve::TrafficConfig base_traffic() {
   serve::TrafficConfig t;
   t.seed = 7;
   t.duration_s = bench::full_scale() ? 12.0 : 4.0;
-  t.rate_rps = 120.0;  // ~280 img/s offered: well past FIFO capacity,
-                       // comfortably under the dynamic-batching capacity
+  t.rate_rps = 280.0;  // ~650 img/s offered: well past FIFO capacity
+                       // (~220 img/s), under the dynamic-batching capacity
   t.mix = {{"resnet", 2.0, 150.0}, {"yolo", 1.0, 250.0}};
   t.sizes = {1, 2, 4};
   t.size_weights = {1.0, 1.0, 1.0};

@@ -3,8 +3,8 @@
 // relu / pad folded into the conv store path), pins qualifying
 // inter-layer tensors in SPM, deduplicates the distinct (shape, epilogue)
 // keys, tunes each once into the persistent schedule cache, plans the
-// activation arena and executes end-to-end on the simulated chip with the
-// batch split across core groups.
+// activation arena and executes end-to-end on the simulated chip with
+// each layer's output rows split across core groups.
 //
 //   $ ./optimize_network [vgg16|resnet|yolo] [batch] [groups]
 //

@@ -15,7 +15,10 @@
 // (graph/memory_plan.hpp) run inside CompiledNet::run under
 // NetOptions::fusion / NetOptions::residency, so callers of the new API
 // get fused candidates and elided DMA traffic without touching the
-// tuner, IR validator or fuzzer.
+// tuner, IR validator or fuzzer. It also spreads the net over the chip:
+// with NetOptions::groups > 1 every layer splits its output rows over the
+// core groups, which share one activation arena; the tuner still sees one
+// core group's batch slice, and each slab runs that slice's pick.
 //
 // compile() is the only way to run tuned code. swatop::Optimizer
 // (core/swatop.hpp) and graph::GraphEngine (graph/engine.hpp) are the
@@ -94,8 +97,9 @@ class CompiledNet {
 
   /// Tune every distinct layer (through the schedule cache), run the
   /// fusion + residency passes per `opts`, plan the activation arena and
-  /// execute the whole graph at `batch`. The result is returned and kept
-  /// for report(). Throws swatop::CheckError on an invalid graph/options.
+  /// execute the whole graph at `batch`, each layer's rows split over
+  /// `opts.groups` core groups. The result is returned and kept for
+  /// report(). Throws swatop::CheckError on an invalid graph/options.
   graph::NetRunResult run(std::int64_t batch,
                           const graph::NetOptions& opts = {});
 

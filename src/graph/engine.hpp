@@ -1,18 +1,24 @@
 // GraphEngine: run a whole network end-to-end on the simulated SW26010.
 //
-// The engine tunes every *distinct* (conv geometry, sub-batch) once --
+// The engine tunes every *distinct* (conv geometry, per-CG shape) once --
 // through the schedule cache, so repeated layers and repeated runs never
 // re-enumerate a schedule space -- plans all inter-layer activations into
-// one best-fit arena per core group, and then executes the graph in
-// topological order with tensors actually flowing layer to layer:
-// convolutions run their tuned programs through the interpreter on the
-// arena, the elementwise passes (bias / relu / pool / pad / residual add)
-// run as priced MPE-side passes. With groups > 1 the batch is split across
-// core groups (batch is the innermost dimension of every activation
-// layout, so each group simply owns a contiguous sub-batch) and a NoC
-// barrier is charged per convolution launch -- the chip-level latency is
-// the per-step maximum over groups plus those barriers, which is what an
-// honest data-parallel deployment pays.
+// one best-fit arena in the chip's shared main memory, and then executes
+// the graph in topological order with tensors actually flowing layer to
+// layer: convolutions run their tuned programs through the interpreter on
+// the arena, the elementwise passes (bias / relu / pool / pad / residual
+// add) run as priced MPE-side passes.
+//
+// With groups > 1 every step runs on all the core groups: each computes a
+// contiguous slab of ceil(rows / groups) output rows (activations are laid
+// out row-major, so a slab is a contiguous block) for the whole batch. The
+// tuner sees a batch slice -- ceil(batch / groups) images, all rows -- and
+// the engine lowers that pick once per slab shape, tuning a slab itself
+// only when the pick does not lower there. A group that reads rows another
+// group wrote (a 3x3 halo, rows across a pad or stride boundary) fetches
+// them first, priced as a DMA at transaction granularity; a NoC barrier
+// closes every multi-group convolution launch. The chip-level latency is
+// the per-step maximum over groups plus those barriers.
 //
 // GraphEngine is an internal layer under swatop::compile(graph, cfg)
 // (graph/compile.hpp), which is how a graph is run: the CompiledNet handle
@@ -46,7 +52,9 @@ enum class ConvMethod { Auto, Implicit, Explicit, Winograd };
 const char* conv_method_name(ConvMethod m);
 
 struct NetOptions {
-  int groups = 1;  ///< core groups to data-parallel the batch over (1..4)
+  /// Core groups (1..4) every step runs on, each computing a slab of the
+  /// layer's output rows for the whole batch.
+  int groups = 1;
   ConvMethod method = ConvMethod::Auto;
   sim::ExecMode mode = sim::ExecMode::Functional;
   /// Validate the engine's outputs against the naive whole-net host
@@ -72,7 +80,7 @@ struct LayerReport {
   bool conv = false;
   bool fused = false;       ///< conv carrying a fused epilogue
   bool from_cache = false;  ///< schedule served from the cache
-  ops::ConvShape shape;     ///< conv only; batch = group 0's sub-batch
+  ops::ConvShape shape;     ///< conv only: the whole layer at the batch
   double cycles = 0.0;      ///< slowest group's cycles, incl. NoC barrier
   std::int64_t flops = 0;   ///< whole-batch useful flops
   double gflops = 0.0;      ///< chip-level, for this step
@@ -80,13 +88,16 @@ struct LayerReport {
   // Attribution inputs for this step (see graph/net_report.hpp): the
   // engine-captured simulator statistics, summed over the groups that ran
   // it, plus the clock quantities the basis needs.
-  int groups = 1;            ///< core groups this step ran on
+  int groups = 1;            ///< core groups of the run (some may idle)
   double sync_cycles = 0.0;  ///< NoC barrier share of `cycles` (chip-level)
   double group_cycles = 0.0; ///< sum over groups of busy (clocked) cycles
   sim::CgStats stats;        ///< summed over groups, this step only
   /// DRAM bytes this step did NOT move thanks to SPM residency (summed
   /// over groups); fused epilogues additionally shrink stats itself.
   std::int64_t dma_bytes_elided = 0;
+  /// Input rows another group wrote, fetched before the step (summed over
+  /// groups; already inside stats and cycles).
+  std::int64_t halo_bytes = 0;
 };
 
 struct NetRunResult {
@@ -98,14 +109,15 @@ struct NetRunResult {
   double ms_per_batch = 0.0;
   double ms_per_image = 0.0;
   double efficiency = 0.0;  ///< gflops / peak of the groups used
-  int groups_used = 1;
+  int groups_used = 1;      ///< NetOptions::groups: every step uses them all
   std::int64_t batch = 0;
 
   // Functional check vs. the naive whole-net reference.
   bool checked = false;
   double max_rel_err = 0.0;
 
-  // Memory plan, summed over groups.
+  // Memory plan of the chip-wide arena: the batch-slice plan scaled by the
+  // slices covering the batch, i.e. the sum of the per-CG slice plans.
   std::int64_t planned_peak_floats = 0;
   std::int64_t naive_floats = 0;
 
@@ -114,9 +126,13 @@ struct NetRunResult {
   FusionStats fusion;
   std::int64_t resident_tensors = 0;
   std::int64_t dma_bytes_elided = 0;
+  /// Bytes of input rows fetched from another group's share (all steps).
+  std::int64_t halo_bytes = 0;
 
   // Tuning.
-  std::int64_t shapes_tuned = 0;  ///< distinct (method, shape) tuned
+  /// Distinct (method, shape) tuned: the per-CG shapes, plus any slab
+  /// shape a per-CG pick did not lower on.
+  std::int64_t shapes_tuned = 0;
   std::int64_t cache_hits = 0;    ///< of those, served from the cache
   double tune_seconds = 0.0;
 

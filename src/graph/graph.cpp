@@ -50,8 +50,8 @@ bool Graph::infer(const Node& n, const std::vector<TensorShape>& in,
   };
   switch (n.kind) {
     case NodeKind::Conv: {
-      if (n.kernel <= 0 || n.channels_out <= 0)
-        return fail("kernel and channels_out must be positive");
+      if (n.kernel <= 0 || n.channels_out <= 0 || n.stride <= 0)
+        return fail("kernel, channels_out and stride must be positive");
       if (in[0].hw < n.kernel) {
         std::ostringstream os;
         os << "kernel " << n.kernel << " larger than input extent "
@@ -59,7 +59,8 @@ bool Graph::infer(const Node& n, const std::vector<TensorShape>& in,
         return fail(os.str());
       }
       if (n.epilogue.out_pad < 0) return fail("negative fused output pad");
-      const TensorShape raw = {in[0].hw - n.kernel + 1, n.channels_out};
+      const TensorShape raw = {(in[0].hw - n.kernel) / n.stride + 1,
+                               n.channels_out};
       if (n.epilogue.residual) {
         // The fused residual-add must see a same-shape operand *here*,
         // before the planner sizes arenas from the inferred shapes --
@@ -257,6 +258,7 @@ ops::ConvShape Graph::conv_shape(const Node& n, std::int64_t batch) const {
   s.ci = in.hw;
   s.kr = n.kernel;
   s.kc = n.kernel;
+  s.stride = n.stride;
   return s;
 }
 

@@ -55,10 +55,11 @@ struct Node {
   std::vector<std::string> inputs;  ///< consumed tensor names
   std::string output;               ///< produced tensor name
   /// Conv parameters (kind == Conv). The input is expected pre-padded (a
-  /// Pad node upstream), so out_hw = in_hw - kernel + 1 (plus the fused
-  /// epilogue's output border when set).
+  /// Pad node upstream), so out_hw = (in_hw - kernel) / stride + 1 (plus
+  /// the fused epilogue's output border when set).
   std::int64_t kernel = 0;
   std::int64_t channels_out = 0;
+  std::int64_t stride = 1;
   /// Pad parameter (kind == Pad): zero border width on each side.
   std::int64_t pad = 0;
   /// Fused elementwise tail (kind == Conv, written by fuse_epilogues):

@@ -168,8 +168,11 @@ ResidencyPlan plan_residency(const Graph& g, const ResidencyOptions& o) {
       // The whole tensor is pinned across both steps: it must fit the SPM
       // budget and every conv endpoint must pass the engine's gate.
       if (o.conv_budget_floats <= 0) continue;
-      if (shapes.at(p.output).floats(o.batch) > o.conv_budget_floats)
-        continue;
+      const TensorShape& ts = shapes.at(p.output);
+      const std::int64_t slab_floats =
+          ceil_div(ts.hw, std::int64_t{o.groups}) * ts.hw * ts.channels *
+          o.batch;
+      if (slab_floats > o.conv_budget_floats) continue;
       if (o.conv_ok) {
         if (p.kind == NodeKind::Conv && !o.conv_ok(p)) continue;
         if (c.kind == NodeKind::Conv && !o.conv_ok(c)) continue;

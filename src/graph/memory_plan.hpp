@@ -69,7 +69,8 @@ MemoryPlan plan_memory(const Graph& g, std::int64_t batch,
 ///    operands tile-by-tile in arbitrary order, so the *whole* tensor must
 ///    be pinned, distributed across the mesh's 64 SPMs, for the duration
 ///    of both steps. Such an edge qualifies only when the tensor's
-///    per-group footprint fits `conv_budget_floats` (the engine passes
+///    per-group footprint -- the group's row slab, ceil(hw / groups) rows
+///    of the whole batch -- fits `conv_budget_floats` (the engine passes
 ///    half the aggregate SPM of a core group, leaving the other half to
 ///    the kernels' tile buffers) and every conv endpoint passes `conv_ok`
 ///    (the engine admits only implicit-GEMM layers, whose get/put paths
@@ -84,8 +85,11 @@ struct ResidencyOptions {
   /// Aggregate-SPM floats (per core group) a conv-adjacent tensor may
   /// occupy; 0 disables conv-edge pinning (MPE->MPE streaming only).
   std::int64_t conv_budget_floats = 0;
-  /// Per-group sub-batch the footprints are evaluated at.
+  /// Batch the footprints are evaluated at.
   std::int64_t batch = 1;
+  /// Core groups a tensor's rows are split over; each pins only its own
+  /// slab of ceil(hw / groups) rows.
+  int groups = 1;
   /// Extra gate on conv endpoints (null: every conv qualifies).
   std::function<bool(const Node&)> conv_ok;
 };

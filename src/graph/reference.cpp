@@ -57,7 +57,7 @@ std::vector<float> make_bias(const std::string& node_name,
 }
 
 void fill_input(const std::string& tensor, const TensorShape& shape,
-                std::int64_t batch, std::int64_t batch0, float* dst) {
+                std::int64_t batch, float* dst) {
   const std::uint64_t seed = name_seed(tensor);
   std::int64_t i = 0;
   for (std::int64_t r = 0; r < shape.hw; ++r)
@@ -70,13 +70,13 @@ void fill_input(const std::string& tensor, const TensorShape& shape,
               (static_cast<std::uint64_t>(r) << 48) |
               (static_cast<std::uint64_t>(ch) << 32) |
               (static_cast<std::uint64_t>(c) << 16) |
-              static_cast<std::uint64_t>(batch0 + b);
+              static_cast<std::uint64_t>(b);
           dst[i++] = unit(mix(seed ^ key));
         }
 }
 
 std::unordered_map<std::string, std::vector<float>> reference_forward(
-    const Graph& g, std::int64_t batch, std::int64_t batch0) {
+    const Graph& g, std::int64_t batch) {
   SWATOP_CHECK(batch >= 1) << "reference_forward batch " << batch;
   const std::vector<int> order = g.topo_order();
   const auto shapes = g.shapes();
@@ -89,7 +89,7 @@ std::unordered_map<std::string, std::vector<float>> reference_forward(
   std::unordered_map<std::string, std::vector<float>> live;
   for (const auto& [t, shape] : g.inputs()) {
     std::vector<float> v(static_cast<std::size_t>(shape.floats(batch)));
-    fill_input(t, shape, batch, batch0, v.data());
+    fill_input(t, shape, batch, v.data());
     live.emplace(t, std::move(v));
   }
 

@@ -5,9 +5,7 @@
 //
 // Weights are scaled ~sqrt(6 / fan_in) (He-style uniform) so activations
 // neither explode nor vanish across the 13+ conv layers of the evaluation
-// networks; everything is a pure hash of (name, indices) -- no RNG state,
-// so a core group filling only its sub-batch produces bit-identical values
-// to a whole-batch fill.
+// networks; everything is a pure hash of (name, indices) -- no RNG state.
 #pragma once
 
 #include <cstdint>
@@ -31,17 +29,15 @@ std::vector<float> make_bias(const std::string& node_name,
                              std::int64_t channels);
 
 /// Fill a graph-input activation tensor [hw][ch][hw][batch] with values
-/// seeded by (tensor name, row, channel, col, batch0 + b). `batch0` offsets
-/// the batch index so a core group running images [batch0, batch0 + batch)
-/// fills exactly its slice of the logical batch.
+/// seeded by (tensor name, row, channel, col, image).
 void fill_input(const std::string& tensor, const TensorShape& shape,
-                std::int64_t batch, std::int64_t batch0, float* dst);
+                std::int64_t batch, float* dst);
 
 /// Naive host forward pass over the whole graph: returns the network output
 /// tensors (name -> [hw][ch][hw][batch] data). Intermediate tensors are
 /// freed as soon as their last consumer ran, bounding host memory to the
 /// live set. Throws swatop::CheckError when the graph is invalid.
 std::unordered_map<std::string, std::vector<float>> reference_forward(
-    const Graph& g, std::int64_t batch, std::int64_t batch0 = 0);
+    const Graph& g, std::int64_t batch);
 
 }  // namespace swatop::graph

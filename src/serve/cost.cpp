@@ -30,8 +30,7 @@ ChipCost EngineCostProvider::cost(const std::string& net,
     git = graphs_.emplace(net, graph::build_net(net)).first;
 
   graph::NetOptions opts;
-  opts.groups = static_cast<int>(
-      std::min<std::int64_t>(opts_.groups_per_chip, images));
+  opts.groups = opts_.groups_per_chip;
   opts.method = opts_.method;
   opts.fusion = opts_.fusion;
   opts.residency = opts_.residency;
@@ -66,7 +65,7 @@ ChipCost SyntheticCostProvider::cost(const std::string& net,
   ChipCost c;
   c.groups = groups;
   // Contiguous batch slices over the groups: the slowest group carries
-  // ceil(images / groups) of them, same as the engine's split.
+  // ceil(images / groups) of them.
   c.us = nc.launch_us +
          nc.image_us * static_cast<double>(ceil_div(images, groups));
   c.cycles = c.us * 1.45e3;  // nominal SW26010 clock, for symmetry only

@@ -24,7 +24,7 @@ namespace swatop::serve {
 struct ChipCost {
   double cycles = 0.0;
   double us = 0.0;      ///< cycles / (clock_ghz * 1e3)
-  int groups = 1;       ///< core groups the run data-parallels over
+  int groups = 1;       ///< core groups the run split its layers over
   bool profiled_fresh = false;  ///< true the first time this key was priced
 };
 
@@ -58,10 +58,9 @@ class CostProvider {
 class EngineCostProvider : public CostProvider {
  public:
   struct Options {
-    /// Core groups a chip data-parallels a sub-batch over (clamped to the
-    /// sub-batch size: a batch-1 request runs on a single CG -- this
-    /// simulator has no intra-request parallelism, the honest cost of
-    /// batch-1 serving on SW26010).
+    /// Core groups a chip runs every sub-batch on. The engine splits each
+    /// layer's output rows over them, so a batch-1 request uses all of
+    /// them too.
     int groups_per_chip = 4;
     graph::ConvMethod method = graph::ConvMethod::Auto;
     bool fusion = true;
@@ -86,9 +85,10 @@ class EngineCostProvider : public CostProvider {
 };
 
 /// Analytic costs for tests and engine-free demos: a fixed per-launch
-/// overhead plus a per-image term that data-parallelizes over the chip's
-/// core groups, mirroring the engine's min(groups, batch) rule. Strictly
-/// deterministic and monotone in the sub-batch size.
+/// overhead plus a per-image term that data-parallelizes over
+/// min(groups, images) of the chip's core groups (batch slicing -- a
+/// simpler model than the engine's row split, which also spreads one
+/// image). Strictly deterministic and monotone in the sub-batch size.
 class SyntheticCostProvider : public CostProvider {
  public:
   struct NetCost {

@@ -1,13 +1,13 @@
 // The simulated multi-chip fleet: N SW26010 chips, each a timeline of
 // sub-batch executions.
 //
-// This generalizes the GraphEngine's multi-CG data parallelism one level
-// up: within a chip, a sub-batch is split across the chip's core groups
-// (the engine prices that, including the NoC barriers); across chips, the
-// fleet scheduler places whole sub-batches. Each chip has its own clock
-// (`free_at_us`); placement is earliest-free-chip with lowest-index
-// tie-breaking, which is both the natural least-loaded policy and
-// deterministic.
+// This generalizes the GraphEngine's multi-CG parallelism one level up:
+// within a chip, each layer of a sub-batch is split across the chip's core
+// groups (the engine prices that, including the halo rows and the NoC
+// barriers); across chips, the fleet scheduler places whole sub-batches.
+// Each chip has its own clock (`free_at_us`); placement is
+// earliest-free-chip with lowest-index tie-breaking, which is both the
+// natural least-loaded policy and deterministic.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@ namespace swatop::serve {
 
 struct FleetConfig {
   int chips = 4;
-  int groups_per_chip = 4;  ///< CGs a sub-batch data-parallels over
+  int groups_per_chip = 4;  ///< CGs every sub-batch runs on
 };
 
 class Fleet {

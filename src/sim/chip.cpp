@@ -10,7 +10,7 @@ Chip::Chip(const SimConfig& cfg, int groups) : cfg_(cfg) {
   SWATOP_CHECK(groups >= 1 && groups <= 4)
       << "SW26010 has 4 core groups; asked for " << groups;
   for (int i = 0; i < groups; ++i)
-    cgs_.push_back(std::make_unique<CoreGroup>(cfg_));
+    cgs_.push_back(std::make_unique<CoreGroup>(cfg_, mem_));
 }
 
 CoreGroup& Chip::cg(int i) {

@@ -7,7 +7,10 @@
 namespace swatop::sim {
 
 CoreGroup::CoreGroup(const SimConfig& cfg)
-    : cfg_(cfg), cluster_(cfg_), dma_(cfg_) {}
+    : cfg_(cfg), mem_(&own_mem_), cluster_(cfg_), dma_(cfg_) {}
+
+CoreGroup::CoreGroup(const SimConfig& cfg, MainMemory& shared)
+    : cfg_(cfg), mem_(&shared), cluster_(cfg_), dma_(cfg_) {}
 
 void CoreGroup::advance_compute(double cycles) {
   SWATOP_CHECK(cycles >= 0.0);
@@ -75,12 +78,12 @@ CoreGroup::ReplyId CoreGroup::dma_issue(std::span<const DmaCpeDesc> descs,
       while (remaining > 0) {
         const std::int64_t blk = std::min(remaining, d.block);
         if (d.dir == DmaDir::MemToSpm) {
-          auto src = mem_.view(mem, blk);
+          auto src = mem_->view(mem, blk);
           auto dst = spm.view(spm_at, blk);
           std::copy(src.begin(), src.end(), dst.begin());
         } else {
           auto src = spm.view(spm_at, blk);
-          auto dst = mem_.view(mem, blk);
+          auto dst = mem_->view(mem, blk);
           std::copy(src.begin(), src.end(), dst.begin());
         }
         remaining -= blk;
@@ -191,7 +194,7 @@ obs::Counters CoreGroup::counters_snapshot() const {
 
 void CoreGroup::reset_all() {
   reset_execution();
-  mem_.reset();
+  mem_->reset();
 }
 
 }  // namespace swatop::sim

@@ -86,10 +86,13 @@ class CoreGroup {
   using ReplyId = std::int64_t;
 
   explicit CoreGroup(const SimConfig& cfg = SimConfig{});
+  /// A core group of a chip: it addresses the chip's one main memory
+  /// (`shared` must outlive the group) instead of a private one.
+  CoreGroup(const SimConfig& cfg, MainMemory& shared);
 
   const SimConfig& config() const { return cfg_; }
-  MainMemory& mem() { return mem_; }
-  const MainMemory& mem() const { return mem_; }
+  MainMemory& mem() { return *mem_; }
+  const MainMemory& mem() const { return *mem_; }
   CpeCluster& cluster() { return cluster_; }
   const CpeCluster& cluster() const { return cluster_; }
   DmaEngine& dma() { return dma_; }
@@ -150,7 +153,7 @@ class CoreGroup {
   /// and allocations are preserved (so one can re-run on the same buffers).
   void reset_execution();
 
-  /// Full reset including main memory.
+  /// Full reset including main memory (the chip's, when shared).
   void reset_all();
 
  private:
@@ -159,7 +162,8 @@ class CoreGroup {
   double book_dma(const DmaCost& c);
 
   SimConfig cfg_;
-  MainMemory mem_;
+  MainMemory own_mem_;  ///< unused when the group shares a chip's memory
+  MainMemory* mem_;
   CpeCluster cluster_;
   DmaEngine dma_;
   double now_ = 0.0;

@@ -213,8 +213,8 @@ TEST(Integration, ConvBackwardFilterTuned) {
 }
 
 /// One 3x3 `channels` -> `channels` convolution on an hw x hw input, compiled
-/// as a graph and run timing-only at `batch`, batch-split over `groups`
-/// core groups.
+/// as a graph and run timing-only at `batch`, its output rows split over
+/// `groups` core groups.
 graph::NetRunResult run_conv_on_groups(std::int64_t hw, std::int64_t channels,
                                        std::int64_t batch, int groups) {
   graph::Graph g("conv");
@@ -235,8 +235,8 @@ graph::NetRunResult run_conv_on_groups(std::int64_t hw, std::int64_t channels,
 }
 
 TEST(Integration, ChipDataParallelScales) {
-  // A training batch large enough that the per-group sub-batch (32) keeps
-  // its GEMM efficiency; smaller batches genuinely scale sub-linearly.
+  // A training batch large enough that each group's row slab (4 of the 14
+  // rows, all 128 images) keeps its GEMM efficiency.
   const auto one = run_conv_on_groups(16, 64, 128, 1);
   const auto four = run_conv_on_groups(16, 64, 128, 4);
   EXPECT_EQ(four.groups_used, 4);
@@ -245,14 +245,17 @@ TEST(Integration, ChipDataParallelScales) {
   EXPECT_GT(four.gflops, one.gflops * 2.5);
 }
 
-TEST(Integration, ChipBatchOneCannotSplit) {
+TEST(Integration, ChipBatchOneSplitsRows) {
+  // Batch 1 has no batch to slice; its 14 output rows split 4 + 4 + 4 + 2.
+  const auto one = run_conv_on_groups(16, 64, 1, 1);
   const auto r = run_conv_on_groups(16, 64, 1, 4);
-  EXPECT_EQ(r.groups_used, 1);
+  EXPECT_EQ(r.groups_used, 4);
+  EXPECT_LT(r.cycles, one.cycles / 2.5);
 }
 
 TEST(Integration, ChipUnevenSplit) {
-  // Batch 5 over 3 groups: 2 + 2 + 1; the odd group finishes early, the
-  // slowest one bounds the elapsed time, so some group idled.
+  // 8 output rows over 3 groups: 3 + 3 + 2; the short slab finishes
+  // early, the slowest one bounds the elapsed time, so some group idled.
   const auto r = run_conv_on_groups(10, 32, 5, 3);
   EXPECT_EQ(r.groups_used, 3);
   ASSERT_EQ(r.layers.size(), 1u);

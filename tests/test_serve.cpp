@@ -380,7 +380,7 @@ TEST(EngineCost, MemoizesAndSharesTheScheduleCacheAcrossProfiles) {
   const ChipCost first = cost.cost("resnet", 2);
   EXPECT_TRUE(first.profiled_fresh);
   EXPECT_GT(first.cycles, 0.0);
-  EXPECT_EQ(first.groups, 2);  // min(groups_per_chip, images)
+  EXPECT_EQ(first.groups, 4);  // every group, whatever the sub-batch
   const ChipCost again = cost.cost("resnet", 2);
   EXPECT_FALSE(again.profiled_fresh);
   EXPECT_EQ(again.cycles, first.cycles);

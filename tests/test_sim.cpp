@@ -369,6 +369,20 @@ TEST(Chip, ElapsedIsTheSlowestGroup) {
   EXPECT_DOUBLE_EQ(chip.elapsed(), 250.0);
 }
 
+TEST(Chip, GroupsShareOneMainMemory) {
+  // One address space: what one core group writes, another reads at the
+  // same address, and an allocation through any group is the chip's.
+  Chip chip(SimConfig{}, 2);
+  const MainMemory::Addr a = chip.cg(0).mem().alloc(64, "shared");
+  chip.cg(0).mem().write(a + 5, 3.5f);
+  EXPECT_EQ(chip.cg(1).mem().read(a + 5), 3.5f);
+  EXPECT_EQ(&chip.cg(1).mem(), &chip.mem());
+  EXPECT_EQ(chip.mem().size(), chip.cg(1).mem().size());
+  // A standalone core group keeps its private memory.
+  CoreGroup solo;
+  EXPECT_NE(&solo.mem(), &chip.mem());
+}
+
 TEST(Chip, PeakScalesWithGroups) {
   SimConfig cfg;
   EXPECT_NEAR(Chip(cfg, 4).peak_gflops(), 4 * cfg.peak_gflops(), 1e-9);

@@ -25,8 +25,9 @@ namespace {
 void usage() {
   std::cerr
       << "usage: run_network <vgg16|resnet|yolo> <batch>\n"
-         "         [--groups N]        core groups to split the batch over "
-         "(1-4, default 1)\n"
+         "         [--groups N]        core groups to split each layer's "
+         "output rows over\n"
+         "                             (1-4, default 1)\n"
          "         [--method M]        auto|implicit|explicit|winograd "
          "(default auto)\n"
          "         [--timing-only]     price the run without moving data\n"

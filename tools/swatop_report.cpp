@@ -38,7 +38,9 @@ namespace {
 void usage() {
   std::cerr
       << "usage: swatop_report net <vgg16|resnet|yolo> <batch>\n"
-         "         [--groups N]     core groups (1-4, default 1)\n"
+         "         [--groups N]     core groups to split each layer's "
+         "output rows over\n"
+         "                          (1-4, default 1)\n"
          "         [--method M]     auto|implicit|explicit|winograd\n"
          "       swatop_report op matmul <M> <N> <K>\n"
          "       swatop_report op conv <ri> <ci> <ni> <no> <k> <batch>\n"
