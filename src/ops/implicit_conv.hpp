@@ -31,8 +31,12 @@ class ImplicitConvOp : public dsl::OperatorDef {
                           dsl::EpilogueSpec epi = {});
 
   /// Implicit CONV needs enough input channels to feed the K dimension
-  /// (the paper excludes each network's first layer for this reason).
-  static bool applicable(const ConvShape& s) { return s.ni >= 32; }
+  /// (the paper excludes each network's first layer for this reason). A
+  /// strided conv fuses no output columns (Tco = 1), so its GEMM columns
+  /// are the batch alone and must fill the 8-wide vector granularity.
+  static bool applicable(const ConvShape& s) {
+    return s.ni >= 32 && (s.stride == 1 || s.batch % 8 == 0);
+  }
 
   std::string name() const override;
   dsl::ScheduleSpace space() const override;
