@@ -109,7 +109,7 @@ MethodResult run_explicit(const ops::ConvShape& s,
   MethodResult r;
   const ops::ExplicitConvOp op(s);
   r.swatop_cycles =
-      tuned_cycles(op, cfg) + ops::ExplicitConvOp::pre_post_cycles(s, cfg);
+      tuned_cycles(op, cfg) + ops::ExplicitConvOp::im2col_cycles(s, cfg);
   r.manual_cycles = baseline::ManualExplicitConv(cfg).cycles(s);
   r.gflops = static_cast<double>(s.flops()) / r.swatop_cycles * cfg.clock_ghz;
   r.efficiency = r.gflops / cfg.peak_gflops();

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               ops::WinogradGemmOp::pre_post_cycles(plan, cfg);
     }
     t_exp = tuned(ops::ExplicitConvOp(s), cfg) +
-            ops::ExplicitConvOp::pre_post_cycles(s, cfg);
+            ops::ExplicitConvOp::im2col_cycles(s, cfg);
 
     auto gf = [&](double cyc) {
       return cyc > 0 ? static_cast<double>(s.flops()) / cyc * cfg.clock_ghz

@@ -171,22 +171,24 @@ OpSpec draw_spec(std::mt19937_64& rng, const FuzzOptions& opts) {
   }
   // Convolution: modest spatial dims (the functional GEMM is simulated in
   // software), channel counts around the 32/64 sweet spots with ragged
-  // variants, occasional stride 2.
+  // variants plus a network stem's 3 (explicit GEMM only), occasional
+  // stride 2.
   const std::int64_t k = pick(rng, {1, 3, 3, 5});
   const std::int64_t stride =
       k == 1 ? 1 : pick(rng, {1, 1, 1, 2});
   const std::int64_t ro = std::uniform_int_distribution<std::int64_t>(2, 8)(rng);
   const std::int64_t co = std::uniform_int_distribution<std::int64_t>(2, 8)(rng);
   const std::int64_t b = std::uniform_int_distribution<std::int64_t>(1, 4)(rng);
-  const std::int64_t ni = pick(rng, {8, 16, 32, 32, 33, 40, 64});
+  const std::int64_t ni = pick(rng, {3, 8, 16, 32, 32, 33, 40, 64});
   const std::int64_t no = pick(rng, {32, 32, 33, 40, 48, 64});
   std::vector<std::int64_t> d = {b,  ni, no, k + stride * (ro - 1),
                                  k + stride * (co - 1), k, k, stride};
   const ops::ConvShape s = shape_of(d);
   std::vector<std::string> kinds = {"explicit_conv"};
+  const bool stem = ni == 3;  // the engine gives a stem to explicit GEMM
   if (ops::ImplicitConvOp::applicable(s)) kinds.push_back("implicit_conv");
-  if (ops::WinogradPlan::applicable(s)) kinds.push_back("winograd");
-  if (s.stride == 1 && ops::ConvBwdDataOp::applicable(s))
+  if (!stem && ops::WinogradPlan::applicable(s)) kinds.push_back("winograd");
+  if (!stem && s.stride == 1 && ops::ConvBwdDataOp::applicable(s))
     kinds.push_back("bwd_data");
   if (s.stride == 1 && ops::ConvBwdFilterOp::applicable(s))
     kinds.push_back("bwd_filter");

@@ -230,20 +230,25 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   Graph fused_graph("");
   const Graph* gp = &g;
   if (opts.fusion) {
+    const auto g_shapes = g.shapes();
     fused_graph = fuse_epilogues(g, &res.fusion, [&](const Node& n) {
-      return resolve_method(opts.method, g.conv_shape(n, sub)) ==
-             ConvMethod::Implicit;
+      return resolve_method(opts.method,
+                            Graph::conv_shape(n, g_shapes.at(n.inputs[0]),
+                                              sub)) == ConvMethod::Implicit;
     });
     gp = &fused_graph;
   }
   const Graph& fg = *gp;
-  auto method_of = [&](const Node& n) {
-    return resolve_method(opts.method, fg.conv_shape(n, sub));
-  };
-
   const std::vector<int> order = fg.topo_order();
   const auto shapes = fg.shapes();
   const int steps = static_cast<int>(order.size());
+  // A conv node's shape at a batch, from the shapes inferred once above.
+  auto conv_at = [&](const Node& n, std::int64_t b) {
+    return Graph::conv_shape(n, shapes.at(n.inputs[0]), b);
+  };
+  auto method_of = [&](const Node& n) {
+    return resolve_method(opts.method, conv_at(n, sub));
+  };
 
   // Inter-layer SPM residency: pin qualifying tensors on-chip between
   // adjacent steps. Conv-adjacent tensors must fit half a core group's
@@ -317,7 +322,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   for (int idx : order) {
     const Node& n = fg.nodes()[static_cast<std::size_t>(idx)];
     if (n.kind != NodeKind::Conv) continue;
-    const ops::ConvShape s = fg.conv_shape(n, sub);
+    const ops::ConvShape s = conv_at(n, sub);
     const ConvMethod m = method_of(n);
     SWATOP_CHECK(!n.epilogue.any() || m == ConvMethod::Implicit)
         << "fused conv '" << n.name << "' resolved to "
@@ -327,7 +332,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     TunedConv tc;
     tc.method = m;
     tc.pick = tune_op(*make_conv_op(m, s, n.epilogue));
-    const ops::ConvShape layer = fg.conv_shape(n, batch);
+    const ops::ConvShape layer = conv_at(n, batch);
     std::vector<ops::ConvShape> slab_shapes;
     for (const RowSlab& sl : row_slabs(layer.ro(), G, row_quantum(m, layer)))
       slab_shapes.push_back(slab_shape(layer, sl));
@@ -354,12 +359,15 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   for (int stp = 0; stp < steps; ++stp) {
     const Node& n = fg.nodes()[static_cast<std::size_t>(order[stp])];
     if (n.kind != NodeKind::Conv) continue;
-    const ops::ConvShape s = fg.conv_shape(n, sub);
+    const ops::ConvShape s = conv_at(n, sub);
     const ConvMethod m = method_of(n);
     if (m == ConvMethod::Explicit) {
       const std::int64_t K = s.ni * s.kr * s.kc;
       const std::int64_t N = s.batch * s.ro() * s.co();
       tr.push_back({n.name + ":dcol", K * N, stp});
+      // Unused: the GEMM stores straight into the layer's output. The
+      // transient stays in the plan so that the arena, and the plans that
+      // mirror the engine's, keep their size.
       tr.push_back({n.name + ":outmat", s.no * N, stp});
     } else if (m == ConvMethod::Winograd) {
       const ops::WinogradPlan p(s);
@@ -396,18 +404,15 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   for (int idx : order) {
     const Node& n = fg.nodes()[static_cast<std::size_t>(idx)];
     if (n.kind != NodeKind::Conv) continue;
-    const ops::ConvShape s = fg.conv_shape(n, batch);
+    const ops::ConvShape s = conv_at(n, batch);
     const ConvMethod m = method_of(n);
     const std::int64_t Ni = s.ni, No = s.no;
     const std::int64_t K = Ni * s.kr * s.kc;
-    if (m == ConvMethod::Explicit) {
-      waddr[n.name] = mem.alloc(No * K, n.name + ":wmat");
-    } else {
-      waddr[n.name] = mem.alloc(K * No, n.name + ":w");
-      if (m == ConvMethod::Winograd) {
-        const ops::WinogradPlan p(s);
-        uaddr[n.name] = mem.alloc(p.T() * No * Ni, n.name + ":U");
-      }
+    waddr[n.name] = mem.alloc(
+        K * No, n.name + (m == ConvMethod::Explicit ? ":wmat" : ":w"));
+    if (m == ConvMethod::Winograd) {
+      const ops::WinogradPlan p(s);
+      uaddr[n.name] = mem.alloc(p.T() * No * Ni, n.name + ":U");
     }
     if (n.epilogue.bias) {
       baddr[n.name] = mem.alloc(No, n.name + ":bvec");
@@ -419,30 +424,28 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     if (!functional) continue;
     const std::vector<float> w = make_weights(n.name, s);
     const TunedConv& tc =
-        tuned.at(shape_key(m, fg.conv_shape(n, sub), n.epilogue));
-    if (m == ConvMethod::Implicit) {
-      // Written in the layer strategy's weight layout.
+        tuned.at(shape_key(m, conv_at(n, sub), n.epilogue));
+    if (m != ConvMethod::Winograd) {
+      // Written in the layer strategy's weight layout. Explicit GEMM is a
+      // 1x1 conv over its column matrix: canonical [kr][kc][ni][no] is
+      // already its [K][no], so fold the taps into the channels.
+      const ops::ConvShape ws =
+          m == ConvMethod::Explicit ? ops::ExplicitConvOp::panel_shape(s) : s;
+      const std::int64_t wni = ws.ni;
       const dsl::Strategy& str = tc.strategy();
       const bool ni_major =
           str.has_choice("wlayout") && str.choice("wlayout") == "ni_major";
       auto v = mem.view(waddr.at(n.name), K * No);
-      for (std::int64_t kr = 0; kr < s.kr; ++kr)
-        for (std::int64_t kc = 0; kc < s.kc; ++kc)
-          for (std::int64_t ni = 0; ni < Ni; ++ni)
+      for (std::int64_t kr = 0; kr < ws.kr; ++kr)
+        for (std::int64_t kc = 0; kc < ws.kc; ++kc)
+          for (std::int64_t ni = 0; ni < wni; ++ni)
             for (std::int64_t no = 0; no < No; ++no) {
-              const std::int64_t base = (kr * s.kc + kc) * Ni * No;
+              const std::int64_t base = (kr * ws.kc + kc) * wni * No;
               const std::int64_t off =
-                  ni_major ? base + no * Ni + ni : base + ni * No + no;
+                  ni_major ? base + no * wni + ni : base + ni * No + no;
               v[static_cast<std::size_t>(off)] =
                   w[static_cast<std::size_t>(base + ni * No + no)];
             }
-    } else if (m == ConvMethod::Explicit) {
-      // wmat: column-major No x K, from canonical [kk][no].
-      auto v = mem.view(waddr.at(n.name), No * K);
-      for (std::int64_t kk = 0; kk < K; ++kk)
-        for (std::int64_t no = 0; no < No; ++no)
-          v[static_cast<std::size_t>(no + kk * No)] =
-              w[static_cast<std::size_t>(kk * No + no)];
     } else {
       mem.copy_in(waddr.at(n.name), w);
       ops::WinogradGemmOp::transform_filter(chip.cg(0), waddr.at(n.name),
@@ -478,10 +481,10 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     std::vector<double> cycles;
     std::int64_t border = 0;
     if (n.kind == NodeKind::Conv) {
-      const ops::ConvShape layer = fg.conv_shape(n, batch);
+      const ops::ConvShape layer = conv_at(n, batch);
       const ConvMethod m = method_of(n);
       const TunedConv& tc =
-          tuned.at(shape_key(m, fg.conv_shape(n, sub), n.epilogue));
+          tuned.at(shape_key(m, conv_at(n, sub), n.epilogue));
       lr.conv = true;
       lr.fused = n.epilogue.any();
       lr.kind = conv_method_name(m);
@@ -495,14 +498,14 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       const std::int64_t in_row = layer.ni * layer.ci * batch;
       const std::int64_t out_row = layer.no * os.hw * batch;
       const std::int64_t res_row = layer.no * layer.co() * batch;
-      // The accumulating implicit kernel needs a zeroed output (and a
-      // fused out_pad its zero border): written once per step, before any
-      // group stores into it.
-      if (functional && m == ConvMethod::Implicit)
+      // The accumulating implicit kernel -- explicit GEMM runs one too --
+      // needs a zeroed output (and a fused out_pad its zero border):
+      // written once per step, before any group stores into it.
+      if (functional && m != ConvMethod::Winograd)
         mem.fill(addr(n.output), os.floats(batch), 0.0f);
-      // The step's two scratch buffers (explicit: dcol, outmat; Winograd:
-      // V, Mt) and the floats of them earlier slabs took: each group has
-      // its own share.
+      // The step's scratch buffers (explicit: dcol; Winograd: V, Mt) and
+      // the floats of them earlier slabs took: each group has its own
+      // share.
       const bool expl = m == ConvMethod::Explicit;
       const std::string scratch0 = n.name + (expl ? ":dcol" : ":V");
       const std::string scratch1 = n.name + (expl ? ":outmat" : ":Mt");
@@ -521,16 +524,10 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
           if (n.epilogue.residual)
             bt["res"] = addr(n.inputs[1]) + sl.r0 * res_row;
         } else if (m == ConvMethod::Explicit) {
-          const std::int64_t N = s.batch * s.ro() * s.co();
           t0 = addr(scratch0) + used0;
-          t1 = addr(scratch1) + used1;
-          used0 += s.ni * s.kr * s.kc * N;
-          used1 += s.no * N;
-          if (functional) {
-            ops::ExplicitConvOp::im2col(cg, in, t0, s);
-            mem.fill(t1, s.no * N, 0.0f);
-          }
-          bt = {{"wmat", waddr.at(n.name)}, {"dcol", t0}, {"outmat", t1}};
+          used0 += s.ni * s.kr * s.kc * s.batch * s.ro() * s.co();
+          if (functional) ops::ExplicitConvOp::im2col(cg, in, t0, s);
+          bt = {{"in", t0}, {"w", waddr.at(n.name)}, {"out", out}};
         } else {
           const ops::WinogradPlan p(s);
           t0 = addr(scratch0) + used0;
@@ -560,23 +557,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
             cg, bt, opts.mode, rs.empty() ? nullptr : &rs);
         lr.dma_bytes_elided += rr.bytes_elided;
         if (m == ConvMethod::Explicit) {
-          if (functional) {
-            const std::int64_t Ro = s.ro(), Co = s.co(), B = s.batch;
-            const std::int64_t No = s.no;
-            auto om = mem.view(t1, No * B * Ro * Co);
-            auto ov = mem.view(out, Ro * No * Co * B);
-            for (std::int64_t b = 0; b < B; ++b)
-              for (std::int64_t ro = 0; ro < Ro; ++ro)
-                for (std::int64_t co = 0; co < Co; ++co) {
-                  const std::int64_t j = (b * Ro + ro) * Co + co;
-                  for (std::int64_t no = 0; no < No; ++no)
-                    ov[static_cast<std::size_t>(((ro * No + no) * Co + co) *
-                                                    B +
-                                                b)] =
-                        om[static_cast<std::size_t>(no + j * No)];
-                }
-          }
-          ops::ExplicitConvOp::charge_pre_post(cg, s);
+          ops::ExplicitConvOp::charge_im2col(cg, in, t0, s);
         } else if (m == ConvMethod::Winograd) {
           const ops::WinogradPlan p(s);
           if (functional)

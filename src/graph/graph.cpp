@@ -248,8 +248,13 @@ std::vector<std::string> Graph::outputs() const {
 ops::ConvShape Graph::conv_shape(const Node& n, std::int64_t batch) const {
   SWATOP_CHECK(n.kind == NodeKind::Conv)
       << "conv_shape on a " << node_kind_name(n.kind) << " node";
-  const auto shape = shapes();
-  const TensorShape in = shape.at(n.inputs[0]);
+  return conv_shape(n, shapes().at(n.inputs[0]), batch);
+}
+
+ops::ConvShape Graph::conv_shape(const Node& n, const TensorShape& in,
+                                 std::int64_t batch) {
+  SWATOP_CHECK(n.kind == NodeKind::Conv)
+      << "conv_shape on a " << node_kind_name(n.kind) << " node";
   ops::ConvShape s;
   s.batch = batch;
   s.ni = in.channels;

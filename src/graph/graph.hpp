@@ -113,7 +113,13 @@ class Graph {
 
   /// The operator-subsystem ConvShape of a Conv node at a batch size
   /// (channels and padded spatial extent from the inferred input shape).
+  /// Infers the whole graph's shapes: a caller that asks for many nodes
+  /// should infer once (shapes()) and use the overload below.
   ops::ConvShape conv_shape(const Node& n, std::int64_t batch) const;
+
+  /// The same, given the shape `in` of the node's first input.
+  static ops::ConvShape conv_shape(const Node& n, const TensorShape& in,
+                                   std::int64_t batch);
 
   /// Number of Conv nodes (the tuned layers).
   std::int64_t conv_count() const;

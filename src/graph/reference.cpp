@@ -101,7 +101,7 @@ std::unordered_map<std::string, std::vector<float>> reference_forward(
     std::vector<float> out(static_cast<std::size_t>(out_s.floats(batch)));
     switch (n.kind) {
       case NodeKind::Conv: {
-        const ops::ConvShape s = g.conv_shape(n, batch);
+        const ops::ConvShape s = Graph::conv_shape(n, in_s, batch);
         const std::vector<float> w = make_weights(n.name, s);
         ops::reference_conv(in.data(), w.data(), out.data(), s);
         break;

@@ -1,168 +1,128 @@
 #include "ops/explicit_conv.hpp"
 
+#include <vector>
+
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 #include "ops/reference.hpp"
 #include "ops/tensor.hpp"
 
 namespace swatop::ops {
 
-ExplicitConvOp::ExplicitConvOp(const ConvShape& shape)
-    : MatmulOp(shape.no, shape.batch * shape.ro() * shape.co(),
-               shape.ni * shape.kr * shape.kc),
-      shape_(shape) {
-  a_name_ = "wmat";
-  b_name_ = "dcol";
-  c_name_ = "outmat";
+ConvShape ExplicitConvOp::panel_shape(const ConvShape& s) {
+  SWATOP_CHECK(s.ro() > 0 && s.co() > 0)
+      << "kernel larger than input: " << s.to_string();
+  ConvShape p;
+  p.batch = s.batch;
+  p.ni = s.ni * s.kr * s.kc;
+  p.no = s.no;
+  p.ri = s.ro();
+  p.ci = s.co();
+  p.kr = 1;
+  p.kc = 1;
+  p.stride = 1;
+  return p;
 }
+
+ExplicitConvOp::ExplicitConvOp(const ConvShape& shape)
+    : shape_(shape), gemm_(panel_shape(shape)) {}
 
 std::string ExplicitConvOp::name() const {
   return "explicit_conv[" + shape_.to_string() + "]";
 }
 
+namespace {
+
+/// im2col's reads in column-matrix order: per output row and K index, the
+/// Co*B floats its panel row takes from one input row and channel --
+/// contiguous at stride 1, Co runs of B floats at pitch S*B otherwise.
+std::vector<sim::DmaCpeDesc> im2col_reads(sim::MainMemory::Addr in,
+                                          const ConvShape& s) {
+  const std::int64_t B = s.batch, Ni = s.ni, Ci = s.ci, S = s.stride;
+  std::vector<sim::DmaCpeDesc> reads;
+  reads.reserve(static_cast<std::size_t>(s.ro() * Ni * s.kr * s.kc));
+  for (std::int64_t ro = 0; ro < s.ro(); ++ro)
+    for (std::int64_t kr = 0; kr < s.kr; ++kr)
+      for (std::int64_t kc = 0; kc < s.kc; ++kc)
+        for (std::int64_t ni = 0; ni < Ni; ++ni) {
+          sim::DmaCpeDesc d;
+          d.mem_base = in + ((ro * S + kr) * Ni + ni) * Ci * B + kc * B;
+          d.block = S == 1 ? s.co() * B : B;
+          d.stride = (S - 1) * B;
+          d.total = s.co() * B;
+          reads.push_back(d);
+        }
+  return reads;
+}
+
+/// The seeded canonical input ([ri][ni][ci][b]) and weights
+/// ([kr][kc][ni][no]) both hooks regenerate.
+std::vector<float> seeded(std::int64_t n, std::uint64_t seed) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  Prng rng(seed);
+  for (float& x : v) x = rng.next();
+  return v;
+}
+
+}  // namespace
+
 void ExplicitConvOp::im2col(sim::CoreGroup& cg, sim::MainMemory::Addr in,
                             sim::MainMemory::Addr dcol, const ConvShape& s) {
-  const std::int64_t B = s.batch, Ni = s.ni, Ci = s.ci;
-  const std::int64_t Ro = s.ro(), Co = s.co();
-  const std::int64_t K = Ni * s.kr * s.kc;
-  for (std::int64_t b = 0; b < B; ++b) {
-    for (std::int64_t ro = 0; ro < Ro; ++ro) {
-      for (std::int64_t co = 0; co < Co; ++co) {
-        const std::int64_t j = (b * Ro + ro) * Co + co;
-        for (std::int64_t kr = 0; kr < s.kr; ++kr) {
-          for (std::int64_t kc = 0; kc < s.kc; ++kc) {
-            for (std::int64_t ni = 0; ni < Ni; ++ni) {
-              const std::int64_t kk = (kr * s.kc + kc) * Ni + ni;
-              const float v = cg.mem().read(
-                  in + (((ro * s.stride + kr) * Ni + ni) * Ci +
-                        (co * s.stride + kc)) *
-                           B +
-                       b);
-              cg.mem().write(dcol + kk + j * K, v);
-            }
-          }
-        }
-      }
-    }
-  }
+  sim::MainMemory::Addr dst = dcol;
+  for (const sim::DmaCpeDesc& d : im2col_reads(in, s))
+    for (std::int64_t i = 0; i < d.total; ++i)
+      cg.mem().write(dst++, cg.mem().read(d.mem_base +
+                                          i / d.block * (d.block + d.stride) +
+                                          i % d.block));
 }
 
-void ExplicitConvOp::charge_pre_post(sim::CoreGroup& cg, const ConvShape& s) {
-  const sim::SimConfig& cfg = cg.config();
-  const std::int64_t txn =
-      static_cast<std::int64_t>(cfg.dram_transaction_bytes);
-  const std::int64_t B = s.batch;
-  const std::int64_t K = s.ni * s.kr * s.kc;
-  const std::int64_t N = B * s.ro() * s.co();
-
-  // im2col reads the input Kr*Kc times in runs of B contiguous floats, and
-  // writes the K x N column matrix contiguously.
-  sim::DmaCost pre;
-  pre.latency_cycles = cfg.dma_latency_cycles;
-  const std::int64_t read_runs = K * N / B;
-  const std::int64_t run_bytes = B * static_cast<std::int64_t>(sizeof(float));
-  const std::int64_t tx_per_run = ceil_div(run_bytes + txn / 2, txn);
-  pre.bytes_requested = K * N * static_cast<std::int64_t>(sizeof(float));
-  pre.transactions = read_runs * tx_per_run +
-                     ceil_div(K * N * 4, txn);  // + contiguous write
-  pre.bytes_requested += K * N * 4;
-  pre.bytes_wasted = pre.transactions * txn - pre.bytes_requested;
-  if (pre.bytes_wasted < 0) pre.bytes_wasted = 0;
-  pre.transfer_cycles =
-      static_cast<double>(pre.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(pre);
-
-  // Output re-layout: read outmat contiguously, write the canonical output
-  // tensor in runs of B.
-  sim::DmaCost post;
-  post.latency_cycles = cfg.dma_latency_cycles;
-  const std::int64_t out_floats = s.no * N;
-  const std::int64_t write_runs = out_floats / B;
-  post.bytes_requested = 2 * out_floats * 4;
-  post.transactions =
-      ceil_div(out_floats * 4, txn) + write_runs * tx_per_run;
-  post.bytes_wasted = post.transactions * txn - post.bytes_requested;
-  if (post.bytes_wasted < 0) post.bytes_wasted = 0;
-  post.transfer_cycles =
-      static_cast<double>(post.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(post);
+void ExplicitConvOp::charge_im2col(sim::CoreGroup& cg,
+                                   sim::MainMemory::Addr in,
+                                   sim::MainMemory::Addr dcol,
+                                   const ConvShape& s) {
+  std::vector<sim::DmaCpeDesc> descs = im2col_reads(in, s);
+  sim::DmaCpeDesc w;
+  w.mem_base = dcol;
+  w.block = w.total = s.ro() * s.ni * s.kr * s.kc * s.co() * s.batch;
+  w.dir = sim::DmaDir::SpmToMem;
+  descs.push_back(w);
+  cg.charge_dma_cost_sync(cg.dma().cost(descs));
 }
 
-double ExplicitConvOp::pre_post_cycles(const ConvShape& s,
-                                       const sim::SimConfig& cfg) {
+double ExplicitConvOp::im2col_cycles(const ConvShape& s,
+                                     const sim::SimConfig& cfg) {
   sim::CoreGroup cg(cfg);
-  charge_pre_post(cg, s);
+  charge_im2col(cg, 0, 0, s);
   return cg.now();
 }
 
 void ExplicitConvOp::fill_inputs(sim::CoreGroup& cg,
                                  const dsl::BoundTensors& bt,
-                                 const dsl::Strategy&) const {
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  const std::int64_t K = Ni * shape_.kr * shape_.kc;
-  // Generate a canonical input tensor and weights, then materialize the
-  // im2col matrix and the weight matrix the GEMM consumes.
-  std::vector<float> in(static_cast<std::size_t>(shape_.ri * Ni * shape_.ci *
-                                                 shape_.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(shape_.kr * shape_.kc * Ni *
-                                                No));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-
-  // wmat: column-major No x K; element (no, kk) with kk = ((kr*Kc+kc)*Ni+ni).
-  auto wmat = cg.mem().view(bt.at(a_name_), No * K);
-  for (std::int64_t kk = 0; kk < K; ++kk)
-    for (std::int64_t no = 0; no < No; ++no)
-      wmat[static_cast<std::size_t>(no + kk * No)] =
-          w[static_cast<std::size_t>(kk * No + no)];
-
-  // dcol via the functional im2col on a scratch copy of `in` in the arena.
+                                 const dsl::Strategy& s) const {
+  // The GEMM's own fill writes the weights -- canonical [K][no] from the
+  // same seed, in the strategy's layout -- and a placeholder "in", which
+  // the im2col of the seeded input then replaces.
+  gemm_.fill_inputs(cg, bt, s);
+  const std::vector<float> in = seeded(
+      shape_.ri * shape_.ni * shape_.ci * shape_.batch, 7);
   const sim::MainMemory::Addr in_addr =
       cg.mem().alloc(static_cast<std::int64_t>(in.size()), "in_scratch");
   cg.mem().copy_in(in_addr, in);
-  im2col(cg, in_addr, bt.at(b_name_), shape_);
+  im2col(cg, in_addr, bt.at("in"), shape_);
 }
 
 double ExplicitConvOp::check_output(sim::CoreGroup& cg,
                                     const dsl::BoundTensors& bt,
                                     const dsl::Strategy&) const {
-  // The GEMM result must equal the direct convolution, column j of outmat
-  // being output pixel (b, ro, co).
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  std::vector<float> in(static_cast<std::size_t>(shape_.ri * Ni * shape_.ci *
-                                                 shape_.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(shape_.kr * shape_.kc * Ni *
-                                                No));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
+  const std::vector<float> in = seeded(
+      shape_.ri * shape_.ni * shape_.ci * shape_.batch, 7);
+  const std::vector<float> w =
+      seeded(shape_.kr * shape_.kc * shape_.ni * shape_.no, 13);
   std::vector<float> ref(static_cast<std::size_t>(
-      shape_.ro() * No * shape_.co() * shape_.batch));
+      shape_.ro() * shape_.no * shape_.co() * shape_.batch));
   reference_conv(in.data(), w.data(), ref.data(), shape_);
-
-  const std::int64_t Ro = shape_.ro(), Co = shape_.co();
-  auto got = cg.mem().view(bt.at(c_name_), No * N_);
-  double m = 0.0;
-  for (std::int64_t b = 0; b < shape_.batch; ++b) {
-    for (std::int64_t ro = 0; ro < Ro; ++ro) {
-      for (std::int64_t co = 0; co < Co; ++co) {
-        const std::int64_t j = (b * Ro + ro) * Co + co;
-        for (std::int64_t no = 0; no < No; ++no) {
-          const double d = std::abs(
-              static_cast<double>(got[static_cast<std::size_t>(no + j * No)]) -
-              static_cast<double>(
-                  ref[static_cast<std::size_t>(((ro * No + no) * Co + co) *
-                                                   shape_.batch +
-                                               b)]));
-          if (d > m) m = d;
-        }
-      }
-    }
-  }
-  return m;
+  const std::int64_t n = static_cast<std::int64_t>(ref.size());
+  auto got = cg.mem().view(bt.at("out"), n);
+  return max_abs_diff(got.data(), ref.data(), n);
 }
 
 }  // namespace swatop::ops

@@ -76,11 +76,11 @@ ir::StmtPtr MatmulOp::lower(const dsl::Strategy& s) const {
   g.N = switch_mode ? dn.valid() : ir::cst(Tn);
   g.K = switch_mode ? dk.valid() : ir::cst(Tk);
 
-  g.a = {a_name_, ir::add(dm.base(), ir::mul(dk.base(), ir::cst(M_))), 1, M_,
+  g.a = {"A", ir::add(dm.base(), ir::mul(dk.base(), ir::cst(M_))), 1, M_,
          dm.valid(), dk.valid()};
-  g.b = {b_name_, ir::add(dk.base(), ir::mul(dn.base(), ir::cst(K_))), 1, K_,
+  g.b = {"B", ir::add(dk.base(), ir::mul(dn.base(), ir::cst(K_))), 1, K_,
          dk.valid(), dn.valid()};
-  g.c = {c_name_, ir::add(dm.base(), ir::mul(dn.base(), ir::cst(M_))), 1, M_,
+  g.c = {"C", ir::add(dm.base(), ir::mul(dn.base(), ir::cst(M_))), 1, M_,
          dm.valid(), dn.valid()};
 
   const std::vector<std::pair<char, sched::LoopSpec>> dims = {
@@ -93,17 +93,17 @@ ir::StmtPtr MatmulOp::lower(const dsl::Strategy& s) const {
 }
 
 std::vector<dsl::TensorSpec> MatmulOp::tensors() const {
-  return {{a_name_, M_ * K_, false},
-          {b_name_, K_ * N_, false},
-          {c_name_, M_ * N_, true}};
+  return {{"A", M_ * K_, false},
+          {"B", K_ * N_, false},
+          {"C", M_ * N_, true}};
 }
 
 void MatmulOp::fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                            const dsl::Strategy&) const {
   Prng rng(42);
-  auto a = cg.mem().view(bt.at(a_name_), M_ * K_);
+  auto a = cg.mem().view(bt.at("A"), M_ * K_);
   for (float& v : a) v = rng.next();
-  auto b = cg.mem().view(bt.at(b_name_), K_ * N_);
+  auto b = cg.mem().view(bt.at("B"), K_ * N_);
   for (float& v : b) v = rng.next();
 }
 
@@ -112,10 +112,10 @@ double MatmulOp::check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
   std::vector<float> A(static_cast<std::size_t>(M_ * K_));
   std::vector<float> B(static_cast<std::size_t>(K_ * N_));
   std::vector<float> C(static_cast<std::size_t>(M_ * N_));
-  cg.mem().copy_out(bt.at(a_name_), A);
-  cg.mem().copy_out(bt.at(b_name_), B);
+  cg.mem().copy_out(bt.at("A"), A);
+  cg.mem().copy_out(bt.at("B"), B);
   reference_gemm(A.data(), B.data(), C.data(), M_, N_, K_);
-  auto got = cg.mem().view(bt.at(c_name_), M_ * N_);
+  auto got = cg.mem().view(bt.at("C"), M_ * N_);
   return max_abs_diff(got.data(), C.data(), M_ * N_);
 }
 

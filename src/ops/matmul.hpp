@@ -36,12 +36,7 @@ class MatmulOp : public dsl::OperatorDef {
       std::int64_t extent, std::int64_t align,
       const std::vector<std::int64_t>& menu);
 
- protected:
-  /// Tensor names; subclasses (explicit convolution) re-target them.
-  std::string a_name_ = "A";
-  std::string b_name_ = "B";
-  std::string c_name_ = "C";
-
+ private:
   std::int64_t M_, N_, K_;
 };
 

@@ -137,7 +137,7 @@ TEST(ManualExplicit, CostsImToColPlusGemm) {
   ManualExplicitConv conv(cfg);
   const auto s = shape(8, 32, 32, 8);
   const double total = conv.cycles(s);
-  EXPECT_GT(total, ops::ExplicitConvOp::pre_post_cycles(s, cfg));
+  EXPECT_GT(total, ManualExplicitConv::pre_post_cycles(s, cfg));
 }
 
 }  // namespace

@@ -221,18 +221,21 @@ TEST(ExplicitConv, Im2colMatchesDefinition) {
   const std::int64_t K = s.ni * 9, N = s.batch * s.ro() * s.co();
   const auto dcol = cg.mem().alloc(K * N);
   ExplicitConvOp::im2col(cg, in, dcol, s);
-  // Spot-check: element (kr=1, kc=2, ni=3) of pixel (b=1, ro=2, co=1).
-  const std::int64_t j = (1 * s.ro() + 2) * s.co() + 1;
+  // Row panels [ro][K][co][b]. Spot-check: element (kr=1, kc=2, ni=3) of
+  // pixel (b=1, ro=2, co=1).
   const std::int64_t kk = (1 * 3 + 2) * s.ni + 3;
+  const std::int64_t at = ((2 * K + kk) * s.co() + 1) * s.batch + 1;
   const float expect =
       cg.mem().read(in + (((2 + 1) * s.ni + 3) * s.ci + (1 + 2)) * s.batch + 1);
-  EXPECT_FLOAT_EQ(cg.mem().read(dcol + kk + j * K), expect);
+  EXPECT_FLOAT_EQ(cg.mem().read(dcol + at), expect);
 }
 
 TEST(ExplicitConv, PrePostCostGrowsWithKernelArea) {
-  const double c3 = ExplicitConvOp::pre_post_cycles(small_shape(4, 32, 32, 8, 3), cfg);
+  // im2col is the only pass around the GEMM.
+  const double c3 =
+      ExplicitConvOp::im2col_cycles(small_shape(4, 32, 32, 8, 3), cfg);
   ConvShape s1 = small_shape(4, 32, 32, 8, 1);
-  const double c1 = ExplicitConvOp::pre_post_cycles(s1, cfg);
+  const double c1 = ExplicitConvOp::im2col_cycles(s1, cfg);
   EXPECT_GT(c3, 2.0 * c1);  // 9x the im2col volume
 }
 
@@ -459,13 +462,11 @@ TEST(StridedConv, ExplicitIm2colMatchesReference) {
   s.ci = 9;
   s.stride = 2;
   ExplicitConvOp op(s);
-  dsl::Strategy st;
-  st.set_factor("Tm", 32);
-  st.set_factor("Tn", 32);
-  st.set_factor("Tk", 32);
-  st.set_choice("order", "mnk");
-  st.set_choice("variant", "0");
-  st.set_choice("boundary", "pad");
+  // im2col absorbs the stride: the GEMM is a stride-1 1x1 conv over the
+  // 4x4-pixel column matrix (K = 144, ragged against Tni = 64).
+  const dsl::Strategy st =
+      implicit_strategy(32, 64, 4, "ni_major", "rcoiuv", "0");
+  ASSERT_TRUE(op.space().contains(st));
   EXPECT_LE(run_and_check(op, st), 2e-3);
 }
 

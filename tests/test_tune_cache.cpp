@@ -14,6 +14,7 @@
 
 #include "core/swatop.hpp"
 #include "graph/compile.hpp"
+#include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
@@ -574,6 +575,50 @@ TEST(OptimizerCache, NonMemberBankedStrategyIsAMissAndRetunes) {
     EXPECT_EQ(r.profile.tune.cache_misses, 1);
     EXPECT_GT(warm.handle().stats.valid_candidates, 1);  // really searched
   }
+  std::filesystem::remove(path);
+}
+
+TEST(OptimizerCache, PreChangeExplicitStrategyIsAMissAndRetunes) {
+  // Explicit GEMM once tuned a column-major matmul (Tm/Tn/Tk) under the
+  // same operator name; it now tunes the 1x1-conv nest over row panels. A
+  // strategy banked in the old form is not a member of the new space, so
+  // it is a miss and the shape is re-tuned.
+  const std::string path = tune::temp_cache_path("pre_change_explicit");
+  ops::ConvShape s;
+  s.batch = 4;
+  s.ni = 3;
+  s.no = 32;
+  s.ri = 10;
+  s.ci = 10;
+  const ops::ExplicitConvOp op(s);
+  dsl::Strategy old;
+  old.set_factor("Tm", 32);
+  old.set_factor("Tn", 256);
+  old.set_factor("Tk", 32);
+  old.set_choice("order", "mnk");
+  old.set_choice("variant", "0");
+  old.set_choice("boundary", "pad");
+  EXPECT_FALSE(op.space().contains(old));
+  SwatopConfig cfg;
+  cfg.cache.enabled = true;
+  cfg.cache.path = path;
+  cfg.observability.enabled = true;
+  const std::string key = tune::ScheduleCache::fingerprint(
+      op.name(), cfg.machine, cfg.tuner_knobs());
+  {
+    std::ofstream out(path);
+    out << tune::ScheduleCache::file_header() << "\n"
+        << key << "\t1\t2\t1\t" << old.serialize() << "\n";
+  }
+  // Banked and parsed: only the space rejects it.
+  ASSERT_TRUE(tune::ScheduleCache(cfg.cache).lookup(key).has_value());
+  CompiledOp warm = compile(op, cfg);
+  const rt::RunResult r = warm.run(sim::ExecMode::Functional);
+  EXPECT_FALSE(warm.handle().from_cache);
+  EXPECT_TRUE(op.space().contains(warm.handle().candidate.strategy));
+  EXPECT_EQ(r.profile.tune.cache_hits, 0);
+  EXPECT_EQ(r.profile.tune.cache_misses, 1);
+  EXPECT_GT(warm.handle().stats.valid_candidates, 1);  // really searched
   std::filesystem::remove(path);
 }
 
